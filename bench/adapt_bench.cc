@@ -122,9 +122,7 @@ int Main(int argc, char** argv) {
 
   for (const std::string& family : families) {
     const Model model = MakeRampModel(family);
-    ULayerRuntime::Options adaptive_opts;
-    adaptive_opts.adapt.enabled = true;
-    ULayerRuntime adaptive(model, soc, adaptive_opts);
+    ULayerRuntime adaptive(model, soc);
     ULayerRuntime::Options static_opts;
     static_opts.degradation_replan = false;
     ULayerRuntime static_rt(model, soc, static_opts);
@@ -190,7 +188,6 @@ int Main(int argc, char** argv) {
 
   // --- cache accounting ------------------------------------------------------
   ULayerRuntime::Options cache_opts;
-  cache_opts.adapt.enabled = true;
   cache_opts.adapt.bucket_growth = 2.0;  // Coarse: recovery rejoins baseline.
   const Model cache_model = MakeRampModel("googlenet");
   ULayerRuntime cache_rt(cache_model, soc, cache_opts);
@@ -220,6 +217,7 @@ int Main(int argc, char** argv) {
   ULayerRuntime::Options off_opts;
   off_opts.config = ExecConfig::AllF32();
   off_opts.faults = fault::FaultPlan::Parse(kThrottleSpec);
+  off_opts.adapt.enabled = false;
   ULayerRuntime digest_off(digest_model, soc, off_opts);
   ULayerRuntime::Options on_opts = off_opts;
   on_opts.adapt.enabled = true;

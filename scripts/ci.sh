@@ -19,10 +19,11 @@
 # scripts/ci_net_faults.spec with the output digest diffed byte-identical
 # across node counts, thread budgets and sanitizer builds, plus
 # net_bench --quick regenerating BENCH_net.json), an adaptation-loop stage
-# (adapt_test under ASan and TSan, the committed scripts/ci_adapt.spec
-# throttle ramp driven through ulayer_verify --adapt with the output diffed
-# byte-identical across CPU thread budgets, and adapt_bench --quick
-# regenerating BENCH_adapt.json), a clang-format check and
+# (adapt_test under ASan and TSan, the committed scripts/ci_adapt.spec and
+# scripts/ci_adapt_severe.spec throttle ramps driven through ulayer_verify
+# --adapt with the output diffed byte-identical across CPU thread budgets,
+# and adapt_bench --quick regenerating BENCH_adapt.json), a clang-format
+# check and
 # clang-tidy over src/, bench/
 # and tools/ (both skipped with a notice when the binary is not installed —
 # the reference container ships gcc only).
@@ -206,16 +207,18 @@ ASAN_OPTIONS=detect_leaks=1 "$NET_BENCH" --quick --out BENCH_net.json
 
 echo "==> [11/13] adaptation loop: tests under sanitizers + ramp smoke + bench"
 # The closed adaptation loop (drift-fed predictor corrections, health-keyed
-# plan cache, two-way throttle ratchet) runs its test suite under ASan and
-# TSan, then drives the committed throttle ramp (scripts/ci_adapt.spec)
-# through ulayer_verify --adapt. The printed ramp — per-run latencies,
+# plan cache, baseline probes for a plan with no GPU work) runs its test
+# suite under ASan and TSan, then drives the committed throttle ramps
+# through ulayer_verify --adapt: the mild one (scripts/ci_adapt.spec) and
+# the severe one (scripts/ci_adapt_severe.spec), which plans the GPU out.
+# ulayer_verify exits 1 on an H-series error or when the recovery does not
+# restore the baseline plan. Each printed ramp — per-run latencies,
 # correction table, cache statistics, H-series verdicts — must be
 # byte-identical across CPU thread budgets (the loop is timing-only; the
 # thread budget only affects functional kernels). adapt_bench --quick
 # regenerates BENCH_adapt.json and exits 1 if the adaptive runtime fails to
 # beat the static one while throttled, fails to converge, or fails to
 # return to the baseline plan.
-ADAPT_SPEC="$(grep -v '^#' scripts/ci_adapt.spec | tr -d '[:space:]')"
 if [ "$SKIP_SANITIZE" -eq 0 ]; then
   ULAYER_CPU_THREADS=4 ASAN_OPTIONS=detect_leaks=1 \
     ctest --test-dir build-asan --output-on-failure -R 'adapt_test'
@@ -227,12 +230,15 @@ else
   ADAPT_TOOL=./build-werror/tools/ulayer_verify
   ADAPT_BENCH=./build-werror/bench/adapt_bench
 fi
-ULAYER_CPU_THREADS=1 ASAN_OPTIONS=detect_leaks=1 \
-  "$ADAPT_TOOL" --adapt --config pf --faults "$ADAPT_SPEC" > adapt_ramp_t1.txt
-ULAYER_CPU_THREADS=4 ASAN_OPTIONS=detect_leaks=1 \
-  "$ADAPT_TOOL" --adapt --config pf --faults "$ADAPT_SPEC" > adapt_ramp_t4.txt
-diff adapt_ramp_t1.txt adapt_ramp_t4.txt
-rm -f adapt_ramp_t1.txt adapt_ramp_t4.txt
+for spec_file in scripts/ci_adapt.spec scripts/ci_adapt_severe.spec; do
+  ADAPT_SPEC="$(grep -v '^#' "$spec_file" | tr -d '[:space:]')"
+  ULAYER_CPU_THREADS=1 ASAN_OPTIONS=detect_leaks=1 \
+    "$ADAPT_TOOL" --adapt --config pf --faults "$ADAPT_SPEC" > adapt_ramp_t1.txt
+  ULAYER_CPU_THREADS=4 ASAN_OPTIONS=detect_leaks=1 \
+    "$ADAPT_TOOL" --adapt --config pf --faults "$ADAPT_SPEC" > adapt_ramp_t4.txt
+  diff adapt_ramp_t1.txt adapt_ramp_t4.txt
+  rm -f adapt_ramp_t1.txt adapt_ramp_t4.txt
+done
 ASAN_OPTIONS=detect_leaks=1 "$ADAPT_BENCH" --quick --out BENCH_adapt.json
 
 if command -v clang-format >/dev/null 2>&1; then

@@ -99,8 +99,7 @@ std::string CorrectionTable::ToString() const {
 
 std::string PlanCacheKey::ToString() const {
   std::ostringstream os;
-  os << "gpu=" << (gpu_available ? 1 : 0) << " scale_bucket=" << scale_bucket << " corrections=0x"
-     << std::hex << correction_fp;
+  os << "gpu=" << (gpu_available ? 1 : 0) << " corrections=0x" << std::hex << correction_fp;
   return os.str();
 }
 

@@ -14,9 +14,9 @@
 //    bit-identical to the pre-adaptation path.
 //
 //  - PlanCache: plans keyed by quantized device-health state
-//    (gpu_available, bucketed gpu_time_scale, correction-table
-//    fingerprint), so revisiting a health state the runtime has already
-//    planned for is an O(1) lookup instead of a full Partitioner::Build().
+//    (gpu_available, correction-table fingerprint), so revisiting a health
+//    state the runtime has already planned for is an O(1) lookup instead
+//    of a full Partitioner::Build().
 //    Quantization is deliberate: raw EWMA values never repeat exactly, but
 //    health states a few percent apart want the same plan.
 #pragma once
@@ -74,7 +74,6 @@ class CorrectionTable {
 // Quantized device-health state a cached plan was built for.
 struct PlanCacheKey {
   bool gpu_available = true;  // Circuit breaker / probation state.
-  int32_t scale_bucket = 0;   // BucketOf(gpu_time_scale, growth).
   uint64_t correction_fp = 0; // CorrectionTable::Fingerprint(growth).
 
   bool operator==(const PlanCacheKey&) const = default;

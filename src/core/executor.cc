@@ -35,30 +35,6 @@ ucl::Status MapFailureStatus(fault::FaultKind kind) {
   }
 }
 
-// Exact worst-case KernelTrace entry count for `plan`, derived from its step
-// kinds. A cooperative step completes as a GPU and a CPU entry; a single step
-// as one. With an injector attached, every GPU-touching step can additionally
-// log one annotated failed attempt per allowed try (retries + 1); the
-// fallback re-execution replaces the successful GPU entry, so the bound
-// stays base + attempts.
-size_t TraceCapacity(const Graph& g, const Plan& plan, const ExecConfig& cfg, bool faults) {
-  const size_t per_gpu_fail =
-      faults ? static_cast<size_t>(std::max(cfg.fault_max_retries, 0)) + 1 : 0;
-  size_t cap = 0;
-  for (const Node& n : g.nodes()) {
-    if (n.desc.kind == LayerKind::kInput) {
-      continue;
-    }
-    const NodeAssignment& a = plan.nodes[static_cast<size_t>(n.id)];
-    const bool coop = a.kind == StepKind::kCooperative;
-    cap += coop ? 2 : 1;
-    if (coop || a.proc == ProcKind::kGpu) {
-      cap += per_gpu_fail;
-    }
-  }
-  return cap;
-}
-
 // ULAYER_TRACE enables trace recording without touching the config; any
 // value but "0" counts. Checked per run (getenv does not allocate).
 bool TraceEnvEnabled() {
@@ -268,11 +244,6 @@ void Executor::RunImpl(const Plan& plan, const Tensor* input, RunResult& out) {
   out.sync_count = 0;
   out.cpu_energy_mj = out.gpu_energy_mj = out.idle_energy_mj = out.total_energy_mj = 0.0;
   out.output.reset();
-  out.trace.clear();
-  // Sized from the plan's step kinds and the fault-retry policy, not a flat
-  // graph-size guess: branchy fault-heavy plans used to outgrow the old
-  // g.size() + 16 reservation and reallocate mid-run.
-  out.trace.reserve(TraceCapacity(g, plan, cfg, fi != nullptr));
   DegradationReport& rep = out.degradation;
   rep.retries = 0;
   rep.fallbacks = 0;
@@ -304,14 +275,13 @@ void Executor::RunImpl(const Plan& plan, const Tensor* input, RunResult& out) {
                                                   : -1;
   };
 
-  // Records one completed kernel on the schedule: the KernelTrace entry and,
-  // when tracing, the enriched kernel span. `body_us` is the timing model's
-  // body prediction (pre-throttle), so predicted_us stays the fault-free
-  // expectation the drift table compares against.
+  // Records one completed kernel as an enriched kernel span (when tracing).
+  // `body_us` is the timing model's body prediction (pre-throttle), so
+  // predicted_us stays the fault-free expectation the drift table compares
+  // against.
   const auto record_kernel = [&](const Node& n, ProcKind proc, const ucl::Event& ev,
                                  const LayerWork& w, double body_us, int64_t c_begin,
                                  int64_t c_end, trace::FaultTag tag, int fault_event) {
-    out.trace.push_back(KernelTrace{n.id, proc, ev.start_us, ev.complete_us, tag});
     if (trace::Span* s = sink.AddSpan(trace::SpanKind::kKernel, n.id, proc, ev.start_us,
                                       ev.complete_us)) {
       const double launch = ctx_.device(proc).spec().kernel_launch_us;
@@ -347,11 +317,11 @@ void Executor::RunImpl(const Plan& plan, const Tensor* input, RunResult& out) {
 
   // Runs one GPU attempt with bounded exponential backoff between retries.
   // The host thread owns the retry loop, so backoff is charged to the CPU
-  // timeline. Each failed attempt stays on the record — an annotated
-  // KernelTrace entry plus a kAttempt span linked to the injected fault —
-  // instead of silently vanishing from the schedule. Returns nullopt when
-  // unrecovered; kDeviceLost also opens the circuit breaker. `*retried`
-  // reports whether the returned success needed retries.
+  // timeline. Each failed attempt stays on the record — a kAttempt span
+  // linked to the injected fault — instead of silently vanishing from the
+  // schedule. Returns nullopt when unrecovered; kDeviceLost also opens the
+  // circuit breaker. `*retried` reports whether the returned success needed
+  // retries.
   const auto retry_gpu = [&](const Node& n, double base, const auto& attempt,
                              bool* retried) -> std::optional<ucl::Event> {
     *retried = false;
@@ -366,8 +336,6 @@ void Executor::RunImpl(const Plan& plan, const Tensor* input, RunResult& out) {
       // The aborted attempt: timeouts occupied the device over the event's
       // window (the injector charged it); fail-fast failures are zero-width.
       const int fev = last_fault_event();
-      out.trace.push_back(KernelTrace{n.id, ProcKind::kGpu, res.event.start_us,
-                                      res.event.complete_us, trace::FaultTag::kFailedAttempt});
       if (trace::Span* s = sink.AddSpan(trace::SpanKind::kAttempt, n.id, ProcKind::kGpu,
                                         res.event.start_us, res.event.complete_us)) {
         s->op = n.desc.kind;

@@ -28,20 +28,6 @@
 
 namespace ulayer {
 
-// One kernel occurrence on a device timeline (for tracing/visualization).
-// Fault recovery annotates entries instead of hiding them: a failed GPU
-// attempt appears tagged kFailedAttempt (timeouts span their occupancy
-// window, fail-fast attempts are zero-width), the CPU re-execution of its
-// work is tagged kFallback, and breaker-rerouted steps kRerouted — so
-// gpu_busy_us and the trace tell the same story (DESIGN.md Section 11).
-struct KernelTrace {
-  int node = -1;
-  ProcKind proc = ProcKind::kCpu;
-  double start_us = 0.0;
-  double end_us = 0.0;
-  trace::FaultTag tag = trace::FaultTag::kNone;
-};
-
 // How the run ultimately executed (DESIGN.md Section 10).
 enum class RunMode : uint8_t {
   kNormal,    // The planned schedule ran untouched.
@@ -82,9 +68,6 @@ struct DegradationReport {
 struct RunResult {
   double latency_us = 0.0;
 
-  // Per-kernel schedule, in issue order (both devices interleaved).
-  std::vector<KernelTrace> trace;
-
   double cpu_busy_us = 0.0;
   double gpu_busy_us = 0.0;
   int sync_count = 0;
@@ -97,10 +80,11 @@ struct RunResult {
   // Fault-recovery accounting for this run (all zeros when fault-free).
   DegradationReport degradation;
 
-  // Structured observability trace (DESIGN.md Section 11), recorded when
-  // ExecConfig::trace or ULAYER_TRACE is set; empty (enabled == false)
-  // otherwise. Export with trace::ChromeTraceJson, check invariants with
-  // VerifyRunTrace, aggregate with trace::MetricsRegistry.
+  // The run's record (DESIGN.md Section 11): typed spans in issue order,
+  // recorded when ExecConfig::trace or ULAYER_TRACE is set; empty (enabled
+  // == false) otherwise. Export with trace::ChromeTraceJson or TraceToText,
+  // check invariants with VerifyRunTrace, aggregate with
+  // trace::MetricsRegistry.
   trace::RunTrace run_trace;
 
   // Network output (softmax probabilities), present in functional runs.

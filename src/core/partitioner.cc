@@ -54,20 +54,12 @@ double Partitioner::LayerUs(const Node& node, ProcKind proc, double fraction) co
   if (fraction <= 0.0) {
     return 0.0;
   }
-  double us;
   if (!options_.use_oracle) {
-    us = predictor_.PredictUs(graph_, node, proc, fraction);
-  } else {
-    const int64_t c_end = FractionChannels(node, fraction);
-    const LayerWork w = ComputeWork(graph_, node, config_.storage, 0, c_end);
-    us = timing_.KernelLatencyUs(w, proc, config_.ComputeFor(proc), config_.cpu_threads);
+    return predictor_.PredictUs(graph_, node, proc, fraction);
   }
-  // Degraded-mode estimate scaling. Guarded so the default scale of 1.0
-  // leaves the arithmetic bit-identical to the unscaled path.
-  if (proc == ProcKind::kGpu && options_.gpu_time_scale != 1.0) {
-    us *= options_.gpu_time_scale;
-  }
-  return us;
+  const int64_t c_end = FractionChannels(node, fraction);
+  const LayerWork w = ComputeWork(graph_, node, config_.storage, 0, c_end);
+  return timing_.KernelLatencyUs(w, proc, config_.ComputeFor(proc), config_.cpu_threads);
 }
 
 double Partitioner::EstimateSingleUs(const Node& node, ProcKind proc) const {

@@ -42,10 +42,6 @@ class Partitioner {
     // When false the GPU is excluded entirely (circuit breaker tripped):
     // every layer is planned as a single-processor CPU step.
     bool gpu_available = true;
-    // Scales every GPU latency estimate (observed thermal-throttle factor
-    // from the runtime's degradation policy). 1.0 leaves the estimates
-    // bit-identical to the unscaled path.
-    double gpu_time_scale = 1.0;
   };
 
   // `graph` and `predictor` must outlive the partitioner.

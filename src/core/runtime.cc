@@ -3,13 +3,26 @@
 #include <algorithm>
 #include <cmath>
 
-#include "soc/work.h"
 #include "trace/trace.h"
 #include "verify/verify.h"
 
 namespace ulayer {
 
+namespace {
+
+// Plan-cache entries of an adaptive runtime.
+constexpr size_t kPlanCacheCapacity = 8;
+// Cap on DeviceHealth::slow_probes: the longest stale-correction probe
+// interval is gpu_probe_interval << kMaxSlowProbes runs.
+constexpr int kMaxSlowProbes = 2;
+
+}  // namespace
+
 ULayerRuntime::Options ULayerRuntime::NormalizeOptions(Options options) {
+  // A runtime that may not replan has nothing to adapt.
+  if (!options.degradation_replan) {
+    options.adapt.enabled = false;
+  }
   // The adaptation loop consumes BuildDriftReport, which needs the
   // structured trace; recording is deterministic and allocation-stable, so
   // forcing it on changes no simulated timeline.
@@ -25,23 +38,20 @@ ULayerRuntime::ULayerRuntime(const Model& model, const SocSpec& soc, Options opt
       timing_(soc),
       prepared_(model, options_.config),
       predictor_(timing_, options_.config, {&model.graph}),
-      plan_(Partitioner(model.graph, timing_, options_.config, predictor_, options_.partitioner)
-                .Build()),
+      baseline_plan_(
+          Partitioner(model.graph, timing_, options_.config, predictor_, options_.partitioner)
+              .Build()),
+      plan_(baseline_plan_),
       executor_(prepared_, soc),
-      plan_cache_(options_.adapt.enabled ? options_.adapt.plan_cache_capacity : 0) {
+      plan_cache_(options_.adapt.enabled ? kPlanCacheCapacity : 0) {
   partitioner_builds_ = 1;  // The initializer's Build above.
   if (options_.config.verify) {
     ThrowIfErrors("graph verification failed for " + model.name, VerifyGraph(model.graph));
-    ThrowIfErrors("plan verification failed for " + model.name,
-                  VerifyPlan(model.graph, plan_, options_.config));
+    VerifyInstall("plan verification failed for ", plan_);
   }
-  if (options_.adapt.enabled) {
-    // Seed the cache with the healthy-state plan so the first recovery back
-    // to baseline health is already a hit.
-    plan_cache_.Insert(MakeCacheKey(options_.partitioner.gpu_available,
-                                    options_.partitioner.gpu_time_scale),
-                       plan_);
-  }
+  // Seed the cache with the healthy-state plan so the first recovery back
+  // to baseline health is already a hit (a no-op with adaptation off).
+  plan_cache_.Insert(MakeCacheKey(options_.partitioner.gpu_available), plan_);
   // Install the fault plan: explicit options win; otherwise the
   // ULAYER_FAULTS environment spec (empty plan when unset).
   fault::FaultPlan fp = options_.faults.empty() ? fault::FaultPlan::FromEnv() : options_.faults;
@@ -77,18 +87,26 @@ void ULayerRuntime::SetFaultPlan(fault::FaultPlan faults) {
   executor_.SetFaultPlan(std::move(faults));
 }
 
-void ULayerRuntime::Replan(bool gpu_available, double gpu_time_scale) {
+void ULayerRuntime::Replan(bool gpu_available) {
   ++partitioner_builds_;
   Partitioner::Options popts = options_.partitioner;
   popts.gpu_available = gpu_available;
-  popts.gpu_time_scale = gpu_time_scale;
-  // Build and verify into a local: if verification (or the observer hook)
-  // throws, the runtime keeps its current plan and stays usable.
   Plan next = Partitioner(model_->graph, timing_, options_.config, predictor_, popts).Build();
   if (options_.config.verify) {
-    ThrowIfErrors("replanned plan verification failed for " + model_->name,
-                  VerifyPlan(model_->graph, next, options_.config));
+    VerifyInstall("replanned plan verification failed for ", next);
   }
+  Commit(std::move(next));
+}
+
+void ULayerRuntime::VerifyInstall(const std::string& context, const Plan& plan) const {
+  Report report = VerifyPlan(model_->graph, plan, options_.config);
+  report.Merge(VerifyAccumulatorBounds(model_->graph, options_.config));
+  ThrowIfErrors(context + model_->name, report);
+}
+
+void ULayerRuntime::Commit(Plan next) {
+  // `next` is a local: if the observer hook (or the verification before
+  // it) throws, the runtime keeps its current plan and stays usable.
   if (options_.on_replan) {
     options_.on_replan(next);
   }
@@ -96,79 +114,30 @@ void ULayerRuntime::Replan(bool gpu_available, double gpu_time_scale) {
   ++replans_;
 }
 
-PlanCacheKey ULayerRuntime::MakeCacheKey(bool gpu_available, double gpu_time_scale) const {
+PlanCacheKey ULayerRuntime::MakeCacheKey(bool gpu_available) const {
   PlanCacheKey key;
   key.gpu_available = gpu_available;
-  key.scale_bucket = CorrectionTable::BucketOf(gpu_time_scale, options_.adapt.bucket_growth);
   key.correction_fp = predictor_.corrections().Fingerprint(options_.adapt.bucket_growth);
   return key;
 }
 
-void ULayerRuntime::InstallPlan(bool gpu_available, double gpu_time_scale) {
-  if (!options_.adapt.enabled || plan_cache_.capacity() == 0) {
-    Replan(gpu_available, gpu_time_scale);
+void ULayerRuntime::InstallPlan(bool gpu_available) {
+  if (plan_cache_.capacity() == 0) {
+    Replan(gpu_available);
     return;
   }
-  const PlanCacheKey key = MakeCacheKey(gpu_available, gpu_time_scale);
+  const PlanCacheKey key = MakeCacheKey(gpu_available);
   if (const Plan* cached = plan_cache_.Lookup(key)) {
-    // O(1) hot path: no Partitioner::Build. Copy before the hook so a
+    // O(1) hot path: no Partitioner::Build. Commit takes a copy, so a
     // throwing observer leaves both the cache and plan_ untouched.
-    Plan next = *cached;
-    if (options_.on_replan) {
-      options_.on_replan(next);
-    }
-    plan_ = std::move(next);
-    ++replans_;
+    Commit(*cached);
     return;
   }
-  Replan(gpu_available, gpu_time_scale);
+  Replan(gpu_available);
   plan_cache_.Insert(key, plan_);
 }
 
-std::optional<double> ULayerRuntime::ObservedGpuRatio(const RunResult& r) const {
-  // Sum observed GPU kernel durations against what the timing model says
-  // they should take under the current plan. The simulation runs on the
-  // same timing model, so the fault-free ratio is exactly 1.0; injected
-  // slowdowns (DVFS/thermal throttling) show up directly as the factor.
-  // nullopt when the plan ran no GPU kernels: a CPU-only or heavily
-  // rescaled plan yields no evidence about the GPU, and the caller must not
-  // mistake silence for health (or for sickness).
-  const Graph& g = prepared_.graph();
-  const ExecConfig& cfg = options_.config;
-  const double launch_us = timing_.soc().gpu.kernel_launch_us;
-  double observed = 0.0;
-  double expected = 0.0;
-  for (const KernelTrace& t : r.trace) {
-    if (t.proc != ProcKind::kGpu || t.node < 0 || t.node >= g.size()) {
-      continue;
-    }
-    // Aborted GPU attempts now stay on the trace (tagged kFailedAttempt);
-    // they are recovery noise, not evidence about the GPU's kernel speed.
-    if (t.tag == trace::FaultTag::kFailedAttempt) {
-      continue;
-    }
-    const Node& n = g.node(t.node);
-    const NodeAssignment& a = plan_.nodes[static_cast<size_t>(t.node)];
-    const ResolvedSplit split = ResolveSplit(a, n.out_shape.c);
-    const bool coop =
-        a.kind == StepKind::kCooperative && !split.cpu.empty() && !split.gpu.empty();
-    const LayerWork w = coop
-                            ? ComputeWork(g, n, cfg.storage, split.gpu.begin, split.gpu.end)
-                            : ComputeWork(g, n, cfg.storage);
-    observed += t.end_us - t.start_us;
-    expected += launch_us +
-                timing_.KernelBodyUs(w, ProcKind::kGpu, cfg.ComputeFor(ProcKind::kGpu));
-  }
-  if (expected <= 0.0) {
-    return std::nullopt;
-  }
-  return observed / expected;
-}
-
 void ULayerRuntime::ApplyDegradationPolicy(const RunResult& r) {
-  if (!options_.degradation_replan) {
-    return;
-  }
   DeviceHealth& h = gpu_health_;
   const DegradationReport& d = r.degradation;
   const bool failed = d.retries > 0 || d.fallbacks > 0 || d.circuit_open;
@@ -176,11 +145,6 @@ void ULayerRuntime::ApplyDegradationPolicy(const RunResult& r) {
     ++h.consecutive_failures;
   } else {
     h.consecutive_failures = 0;
-  }
-  const std::optional<double> ratio = ObservedGpuRatio(r);
-  h.evidence_last_run = ratio.has_value();
-  if (ratio) {
-    h.observed_over_predicted = *ratio;
   }
 
   // Probe verdict: the run just executed the one-run optimistic plan.
@@ -190,16 +154,13 @@ void ULayerRuntime::ApplyDegradationPolicy(const RunResult& r) {
     if (failed) {
       // The GPU is still unreliable: back out of the plan.
       h.excluded = true;
-      InstallPlan(/*gpu_available=*/false, /*gpu_time_scale=*/1.0);
+      InstallPlan(/*gpu_available=*/false);
       mode_ = RunMode::kCpuOnly;
       return;
     }
-    // Clean probe: the GPU rejoins at full trust. Fall through so a device
-    // that recovered from faults but still runs slow re-degrades on this
-    // run's own throttle evidence.
+    // Clean probe: the GPU rejoins at full trust. The adaptation loop
+    // judges its speed from this run's evidence.
     h.excluded = false;
-    h.applied_time_scale = 1.0;
-    h.clean_below_scale_runs = 0;
     mode_ = RunMode::kNormal;
   }
 
@@ -208,79 +169,24 @@ void ULayerRuntime::ApplyDegradationPolicy(const RunResult& r) {
     // The GPU is unreliable: open the runtime-level breaker and replan the
     // whole network CPU-only.
     h.excluded = true;
-    h.clean_below_scale_runs = 0;
     h.runs_since_probe = 0;
-    InstallPlan(/*gpu_available=*/false, /*gpu_time_scale=*/1.0);
+    InstallPlan(/*gpu_available=*/false);
     mode_ = RunMode::kCpuOnly;
     return;
   }
 
-  if (h.excluded) {
-    // Probation: a CPU-only plan yields no GPU evidence, so recovery can
-    // only be discovered by periodically risking one optimistic probe run.
-    if (options_.gpu_probe_interval > 0 &&
-        ++h.runs_since_probe >= options_.gpu_probe_interval) {
-      h.probing = true;
-      h.runs_since_probe = 0;
-      InstallPlan(/*gpu_available=*/true, /*gpu_time_scale=*/1.0);
-      // mode_ stays kCpuOnly until the probe's verdict.
-    }
-    return;
-  }
-
-  if (options_.adapt.enabled) {
-    // The correction table subsumes the scalar throttle factor: letting
-    // both react would double-count the slowdown (scale * correction).
-    // Failure/breaker/probation handling above stays active either way.
-    return;
-  }
-
-  if (ratio && *ratio > h.applied_time_scale * options_.throttle_replan_ratio) {
-    // The GPU runs, but slower than planned (thermal throttle): replan with
-    // its latency estimates rescaled by the observed factor.
-    h.applied_time_scale = *ratio;
-    h.clean_below_scale_runs = 0;
-    InstallPlan(/*gpu_available=*/true, /*gpu_time_scale=*/*ratio);
-    if (mode_ == RunMode::kNormal) {
-      mode_ = RunMode::kDegraded;
-    }
-    return;
-  }
-
-  if (h.applied_time_scale > 1.0) {
-    if (!ratio) {
-      // A heavily rescaled plan may schedule no GPU work at all; without
-      // evidence the throttle would ratchet forever. Probe like the
-      // breaker path.
-      if (options_.gpu_probe_interval > 0 &&
-          ++h.runs_since_probe >= options_.gpu_probe_interval) {
-        h.probing = true;
-        h.runs_since_probe = 0;
-        InstallPlan(/*gpu_available=*/true, /*gpu_time_scale=*/1.0);
-      }
-      return;
-    }
+  // Probation: a CPU-only plan yields no GPU evidence, so recovery can only
+  // be discovered by periodically risking one optimistic probe run.
+  if (h.excluded && options_.gpu_probe_interval > 0 &&
+      ++h.runs_since_probe >= options_.gpu_probe_interval) {
+    h.probing = true;
     h.runs_since_probe = 0;
-    if (!failed && *ratio < h.applied_time_scale / options_.throttle_replan_ratio) {
-      // The throttle eased. Demand the same run-count of consistent
-      // evidence the failure path demands before churning the plan.
-      if (++h.clean_below_scale_runs >= options_.replan_after_failures) {
-        const double next_scale = std::max(*ratio, 1.0);
-        h.applied_time_scale = next_scale;
-        h.clean_below_scale_runs = 0;
-        InstallPlan(/*gpu_available=*/true, /*gpu_time_scale=*/next_scale);
-        mode_ = next_scale > 1.0 ? RunMode::kDegraded : RunMode::kNormal;
-      }
-    } else {
-      h.clean_below_scale_runs = 0;
-    }
+    InstallPlan(/*gpu_available=*/true);
+    // mode_ stays kCpuOnly until the probe's verdict.
   }
 }
 
-void ULayerRuntime::ApplyAdaptation(const RunResult& r) {
-  if (!r.run_trace.enabled) {
-    return;
-  }
+void ULayerRuntime::ApplyAdaptation(const RunResult& r, bool probe_run) {
   const trace::DriftAggregate agg = trace::AggregateDrift(trace::BuildDriftReport(r.run_trace));
   if (!agg.has_evidence) {
     return;
@@ -299,17 +205,23 @@ void ULayerRuntime::ApplyAdaptation(const RunResult& r) {
   const double relative = weight > 0.0 ? dev / weight : 0.0;
   last_relative_deviation_ = relative;
   drift_history_.push_back(relative);
+  // A probe's GPU evidence is the first after a gap: the GPU cells are
+  // stale, so it replaces them instead of being averaged into them.
+  const auto alpha = [&](ProcKind proc) {
+    return probe_run && proc == ProcKind::kGpu ? 1.0 : options_.adapt.ewma_alpha;
+  };
   for (const trace::DriftCell& cell : agg.cells) {
-    predictor_.UpdateCorrection(cell.op, cell.proc, cell.ratio, options_.adapt.ewma_alpha);
+    predictor_.UpdateCorrection(cell.op, cell.proc, cell.ratio, alpha(cell.proc));
   }
-  // Throttling (DVFS, thermal) is a device-wide effect, but a rescaled plan
-  // can stop scheduling some op kinds on the affected processor entirely —
-  // their cells would then freeze at a stale correction and pin the plan
-  // away from that processor forever. Steer every cell the run did NOT
-  // observe toward its processor's duration-weighted aggregate ratio, so
+  // Throttling (DVFS, thermal) is a device-wide effect, but a corrected
+  // plan can stop scheduling some op kinds on the affected processor
+  // entirely — their cells would then freeze at a stale correction and pin
+  // the plan away from that processor forever. Steer every cell the run did
+  // NOT observe toward its processor's duration-weighted aggregate ratio, so
   // all of a device's cells track its health in lockstep. Processors with
   // no evidence at all this run are left untouched: silence about a device
   // is not evidence about it.
+  bool gpu_evidence = false;
   for (const ProcKind proc : {ProcKind::kCpu, ProcKind::kGpu}) {
     double num = 0.0;
     double den = 0.0;
@@ -322,6 +234,7 @@ void ULayerRuntime::ApplyAdaptation(const RunResult& r) {
     if (den <= 0.0) {
       continue;
     }
+    gpu_evidence = gpu_evidence || proc == ProcKind::kGpu;
     const double proc_ratio = num / den;
     for (size_t k = 0; k < static_cast<size_t>(kLayerKindCount); ++k) {
       const LayerKind kind = static_cast<LayerKind>(k);
@@ -329,17 +242,20 @@ void ULayerRuntime::ApplyAdaptation(const RunResult& r) {
           agg.cells.begin(), agg.cells.end(),
           [&](const trace::DriftCell& c) { return c.op == kind && c.proc == proc; });
       if (!observed) {
-        predictor_.UpdateCorrection(kind, proc, proc_ratio, options_.adapt.ewma_alpha);
+        predictor_.UpdateCorrection(kind, proc, proc_ratio, alpha(proc));
       }
     }
   }
   // The device state quantizes back to baseline once the corrections carry
-  // an identity-bucket fingerprint and the scalar scale buckets to 0.
-  const CorrectionTable identity;
+  // an identity-bucket fingerprint.
   const double growth = options_.adapt.bucket_growth;
   const bool baseline =
-      predictor_.corrections().Fingerprint(growth) == identity.Fingerprint(growth) &&
-      CorrectionTable::BucketOf(gpu_health_.applied_time_scale, growth) == 0;
+      predictor_.corrections().Fingerprint(growth) == CorrectionTable().Fingerprint(growth);
+  DeviceHealth& h = gpu_health_;
+  if (gpu_evidence) {
+    h.runs_since_probe = 0;
+    h.slow_probes = probe_run && !baseline ? std::min(h.slow_probes + 1, kMaxSlowProbes) : 0;
+  }
   if (relative > options_.adapt.drift_replan_threshold) {
     ++drift_streak_;
   } else {
@@ -349,24 +265,41 @@ void ULayerRuntime::ApplyAdaptation(const RunResult& r) {
     replan_pending_ = true;
     drift_streak_ = 0;
   }
+  // A probe that found the GPU still slow: plan for what it measured.
+  if (probe_run && gpu_evidence && !h.excluded && !baseline) {
+    replan_pending_ = true;
+  }
   if (replan_pending_) {
     // Install first, clear after: if the replan throws (verification or a
     // hook), the pending flag survives and the next evidence run retries
     // instead of silently running on the stale plan.
-    InstallPlan(/*gpu_available=*/!gpu_health_.excluded, gpu_health_.applied_time_scale);
+    InstallPlan(/*gpu_available=*/!h.excluded);
     replan_pending_ = false;
-    if (!gpu_health_.excluded) {
+    if (!h.excluded) {
       mode_ = baseline ? RunMode::kNormal : RunMode::kDegraded;
     }
     return;
+  }
+  if (h.excluded) {
+    return;  // The breaker's probation owns the GPU's return.
   }
   // Drift is quiescent. The EWMA keeps decaying after the last sustained
   // replan, so the installed plan can be left a few percent off the true
   // optimum; once the table is back in the baseline bucket, snap to the
   // seeded baseline plan (an O(1) cache hit on the constructor's entry).
-  if (mode_ == RunMode::kDegraded && !gpu_health_.excluded && baseline) {
-    InstallPlan(/*gpu_available=*/true, gpu_health_.applied_time_scale);
+  if (mode_ == RunMode::kDegraded && baseline) {
+    InstallPlan(/*gpu_available=*/true);
     mode_ = RunMode::kNormal;
+    return;
+  }
+  // The corrections planned the GPU out, so no run refreshes its cells and
+  // a lifted throttle would go unnoticed. Probe with the baseline plan;
+  // each probe that finds the GPU still slow doubles the interval.
+  if (!gpu_evidence && !baseline && options_.gpu_probe_interval > 0 &&
+      ++h.runs_since_probe >= options_.gpu_probe_interval << h.slow_probes) {
+    h.probing = true;
+    h.runs_since_probe = 0;
+    Commit(baseline_plan_);
   }
 }
 
@@ -398,9 +331,12 @@ void ULayerRuntime::Restore(const AdaptSnapshot& snap) {
 
 RunResult ULayerRuntime::Run(const Tensor* input) {
   RunResult r = executor_.Run(plan_, input);
-  ApplyDegradationPolicy(r);
-  if (options_.adapt.enabled) {
-    ApplyAdaptation(r);
+  if (options_.degradation_replan) {
+    const bool probe_run = gpu_health_.probing;
+    ApplyDegradationPolicy(r);
+    if (options_.adapt.enabled) {
+      ApplyAdaptation(r, probe_run);
+    }
   }
   r.degradation.replans = replans_;
   // The runtime's session mode can outrank the single run's view (e.g. a

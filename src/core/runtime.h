@@ -15,12 +15,12 @@
 // (DESIGN.md Section 16): each run's drift report feeds the predictor's
 // correction table, sustained drift triggers a replan, and plans are cached
 // by quantized device-health state so a revisited health state replans
-// without a Partitioner::Build().
+// without a Partitioner::Build(). The correction table is the runtime's only
+// speed-adaptation path.
 #pragma once
 
 #include <functional>
-#include <memory>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/adapt.h"
@@ -31,11 +31,12 @@ namespace ulayer {
 
 class ULayerRuntime {
  public:
-  // Knobs of the drift-adaptation loop. Off by default: with `enabled`
-  // false the runtime behaves exactly like the pre-adaptation policy
-  // (scalar throttle factor, no correction table, no plan cache).
+  // Knobs of the drift-adaptation loop. On by default (it forces
+  // ExecConfig::trace on: the loop reads the run's spans). With `enabled`
+  // false the runtime never reacts to a slow device, only to failing ones
+  // (no correction table, no plan cache).
   struct AdaptOptions {
-    bool enabled = false;
+    bool enabled = true;
     // EWMA weight of each run's observed per-cell ratio.
     double ewma_alpha = 0.5;
     // Replan when the duration-weighted relative deviation (observed ratio
@@ -46,8 +47,6 @@ class ULayerRuntime {
     // Log-space quantization step for cache keys and correction
     // fingerprints: scales within half a step bucket together.
     double bucket_growth = 1.05;
-    // Plan-cache entries (0 disables caching).
-    size_t plan_cache_capacity = 8;
   };
 
   struct Options {
@@ -58,19 +57,18 @@ class ULayerRuntime {
     // Fault plan installed on the executor. When empty, the ULAYER_FAULTS
     // environment spec is parsed instead (empty plan when unset too).
     fault::FaultPlan faults;
-    // Replan after this many consecutive runs needing retries/fallbacks;
-    // also the number of consecutive clean below-scale runs before a
-    // throttled plan recovers to a lower scale.
+    // Replan CPU-only after this many consecutive runs needing
+    // retries/fallbacks.
     int replan_after_failures = 2;
-    // Replan when the observed-vs-predicted GPU latency ratio exceeds the
-    // currently applied scale by this factor (thermal-throttle detection);
-    // recover when it falls below applied_time_scale / this factor.
-    double throttle_replan_ratio = 1.25;
-    // Master switch for the degradation policy (health tracking + replans).
+    // Master switch for every replan: false pins the profile-time plan
+    // (no health tracking, and the adaptation loop is off too).
     bool degradation_replan = true;
-    // Probation: after this many runs without GPU evidence (breaker open,
-    // or a rescaled plan that schedules no GPU work), replan optimistically
-    // for one probe run and judge the GPU on its outcome. 0 disables.
+    // Probation: after this many runs without GPU evidence, install an
+    // optimistic plan for one probe run and judge the GPU on its outcome:
+    // with the breaker open, a replan with the GPU available; when the
+    // corrections planned all work off the GPU, the baseline plan. Each
+    // baseline probe that finds the GPU still slow doubles the interval,
+    // up to 4x. 0 disables.
     int gpu_probe_interval = 8;
 
     AdaptOptions adapt;
@@ -84,19 +82,12 @@ class ULayerRuntime {
   // Per-device health the degradation policy tracks across runs.
   struct DeviceHealth {
     int consecutive_failures = 0;  // Runs in a row with retries/fallbacks.
-    // Observed GPU kernel time over the timing model's expectation, from the
-    // last run with GPU evidence (exactly 1.0 fault-free).
-    double observed_over_predicted = 1.0;
-    // False when the last run scheduled no GPU kernels: the ratio above is
-    // stale history, not evidence about the GPU's current speed.
-    bool evidence_last_run = false;
-    double applied_time_scale = 1.0;  // gpu_time_scale the current plan used.
-    bool excluded = false;            // Circuit breaker: GPU out of the plan.
-    // Two-way throttle tracking: clean runs in a row whose observed ratio
-    // fell below applied_time_scale / throttle_replan_ratio.
-    int clean_below_scale_runs = 0;
-    int runs_since_probe = 0;  // Evidence-free runs since the last probe.
-    bool probing = false;      // The current plan is a one-run GPU probe.
+    bool excluded = false;         // Circuit breaker: GPU out of the plan.
+    int runs_since_probe = 0;      // Evidence-free runs since the last probe.
+    bool probing = false;          // The current plan is a one-run GPU probe.
+    // Baseline probes in a row that found the GPU still slow; the next one
+    // waits gpu_probe_interval << slow_probes evidence-free runs.
+    int slow_probes = 0;
   };
 
   // `model` must outlive the runtime.
@@ -118,8 +109,8 @@ class ULayerRuntime {
   // Adaptation-loop observability.
   const PlanCache& plan_cache() const { return plan_cache_; }
   // Full Partitioner::Build() invocations, including the constructor's
-  // initial build. replans_ - (partitioner_builds_ - 1) replans were served
-  // from the cache.
+  // initial build. The other replans_ - (partitioner_builds_ - 1) replans
+  // were cache hits or baseline probes.
   int64_t partitioner_builds() const { return partitioner_builds_; }
   // Duration-weighted relative drift deviation per adapted run (the series
   // VerifyDriftConvergence checks over a stationary scenario).
@@ -155,31 +146,32 @@ class ULayerRuntime {
   // Runs the planned network. Functional when `input` != nullptr. After the
   // run, the degradation policy inspects the result: repeated failures or an
   // open circuit breaker exclude the GPU and replan CPU-only (with periodic
-  // probation probes so a recovered GPU rejoins); an observed throttle ratio
-  // beyond throttle_replan_ratio replans with GPU latency estimates
-  // rescaled, and sustained clean runs below the applied scale replan back
-  // down. With adaptation enabled, the run's drift report additionally
-  // updates the predictor's correction table and sustained drift replans
-  // through the health-keyed plan cache. RunResult::degradation carries the
-  // outcome.
+  // probation probes so a recovered GPU rejoins). With adaptation enabled,
+  // the run's drift report updates the predictor's correction table and
+  // sustained drift replans through the health-keyed plan cache.
+  // RunResult::degradation carries the outcome.
   RunResult Run(const Tensor* input = nullptr);
 
  private:
-  // Rebuilds plan_ with degraded-mode partitioner options (one
-  // Partitioner::Build + verify + install).
-  void Replan(bool gpu_available, double gpu_time_scale);
+  // Rebuilds plan_ with the current corrections (one Partitioner::Build +
+  // verify + install).
+  void Replan(bool gpu_available);
   // Replan through the plan cache: O(1) install on a health-key hit, full
   // Replan + cache insert on a miss. Falls back to Replan with adaptation
   // off.
-  void InstallPlan(bool gpu_available, double gpu_time_scale);
-  PlanCacheKey MakeCacheKey(bool gpu_available, double gpu_time_scale) const;
-  // Observed/expected GPU kernel time over the run's trace; nullopt when the
-  // run produced no GPU evidence (no GPU kernels scheduled).
-  std::optional<double> ObservedGpuRatio(const RunResult& r) const;
+  void InstallPlan(bool gpu_available);
+  // Makes `next` the current plan, through the observer hook.
+  void Commit(Plan next);
+  // Install-time checks (config.verify): the plan's structure plus the
+  // kernel preconditions a Run does not re-check (Q303).
+  void VerifyInstall(const std::string& context, const Plan& plan) const;
+  PlanCacheKey MakeCacheKey(bool gpu_available) const;
   void ApplyDegradationPolicy(const RunResult& r);
-  // Feeds the run's drift aggregate into the correction table and replans
-  // on sustained drift.
-  void ApplyAdaptation(const RunResult& r);
+  // Feeds the run's drift aggregate into the correction table, replans on
+  // sustained drift, and probes the GPU when the corrections planned it
+  // out. `probe_run` marks the run of a probe plan: its GPU evidence
+  // replaces the stale GPU cells instead of being averaged into them.
+  void ApplyAdaptation(const RunResult& r, bool probe_run);
 
   static Options NormalizeOptions(Options options);
 
@@ -188,6 +180,7 @@ class ULayerRuntime {
   TimingModel timing_;
   PreparedModel prepared_;
   LatencyPredictor predictor_;
+  Plan baseline_plan_;  // The constructor's plan: the throttle probe.
   Plan plan_;
   Executor executor_;
 

@@ -415,6 +415,11 @@ Plan PlanFromText(const std::string& text, const Graph& g) {
 }
 
 std::string TraceToText(const RunResult& result, const Graph& g, int columns) {
+  const trace::RunTrace& rt = result.run_trace;
+  if (!rt.enabled) {
+    throw Error(ErrorCode::kInvalidArgument,
+                "TraceToText needs a traced run (ExecConfig::trace or ULAYER_TRACE)");
+  }
   std::ostringstream os;
   const double total = result.latency_us;
   os << "timeline (" << total * 1e-3 << " ms total, '#' = busy)\n";
@@ -424,14 +429,15 @@ std::string TraceToText(const RunResult& result, const Graph& g, int columns) {
   const double per_col = total / columns;
   for (const ProcKind proc : {ProcKind::kCpu, ProcKind::kGpu}) {
     std::string row(static_cast<size_t>(columns), '.');
+    // Occupying spans partition the device's busy time (T404).
     double busy = 0.0;
-    for (const KernelTrace& kt : result.trace) {
-      if (kt.proc != proc) {
+    for (const trace::Span& s : rt.spans) {
+      if (s.proc != proc || !trace::IsOccupying(s.kind) || s.duration_us() <= 0.0) {
         continue;
       }
-      busy += kt.end_us - kt.start_us;
-      const int c0 = std::max(0, static_cast<int>(kt.start_us / per_col));
-      const int c1 = std::min(columns - 1, static_cast<int>(kt.end_us / per_col));
+      busy += s.duration_us();
+      const int c0 = std::max(0, static_cast<int>(s.start_us / per_col));
+      const int c1 = std::min(columns - 1, static_cast<int>(s.end_us / per_col));
       for (int c = c0; c <= c1; ++c) {
         row[static_cast<size_t>(c)] = '#';
       }
@@ -439,20 +445,21 @@ std::string TraceToText(const RunResult& result, const Graph& g, int columns) {
     os << (proc == ProcKind::kCpu ? "CPU |" : "GPU |") << row << "| "
        << static_cast<int>(busy / total * 100.0) << "% busy\n";
   }
-  // Annotate the densest kernels for orientation.
-  std::vector<const KernelTrace*> big;
-  for (const KernelTrace& kt : result.trace) {
-    big.push_back(&kt);
+  // Annotate the longest kernels for orientation.
+  std::vector<const trace::Span*> big;
+  for (const trace::Span& s : rt.spans) {
+    if (s.kind == trace::SpanKind::kKernel) {
+      big.push_back(&s);
+    }
   }
-  std::sort(big.begin(), big.end(), [](const KernelTrace* a, const KernelTrace* b) {
-    return a->end_us - a->start_us > b->end_us - b->start_us;
+  std::sort(big.begin(), big.end(), [](const trace::Span* a, const trace::Span* b) {
+    return a->duration_us() > b->duration_us();
   });
   const size_t show = std::min<size_t>(3, big.size());
   for (size_t i = 0; i < show; ++i) {
-    const KernelTrace& kt = *big[i];
-    os << "  top-" << i + 1 << ": " << g.node(kt.node).desc.name << " on "
-       << ProcKindName(kt.proc) << " [" << kt.start_us * 1e-3 << ", " << kt.end_us * 1e-3
-       << "] ms\n";
+    const trace::Span& s = *big[i];
+    os << "  top-" << i + 1 << ": " << g.node(s.node).desc.name << " on " << ProcKindName(s.proc)
+       << " [" << s.start_us * 1e-3 << ", " << s.end_us * 1e-3 << "] ms\n";
   }
   return os.str();
 }

@@ -42,9 +42,12 @@ std::string PlanToText(const Plan& plan, const Graph& g);
 // result is *not* verified — run it through PlanVerifier.
 Plan PlanFromText(const std::string& text, const Graph& g);
 
-// ASCII Gantt chart of a run's kernel trace: one row per device, time
-// bucketed into `columns` cells, '#' where the device is busy. Shows the
-// CPU/GPU overlap that cooperative execution and branch distribution create.
+// ASCII Gantt chart of a traced run, a view over RunResult::run_trace: one
+// row per device, time bucketed into `columns` cells, '#' where an occupying
+// span keeps the device busy. Shows the CPU/GPU overlap that cooperative
+// execution and branch distribution create; each row's busy share is its
+// occupying spans' total, i.e. cpu_busy_us / gpu_busy_us (T404). Throws
+// Error(kInvalidArgument) when the run was not traced.
 std::string TraceToText(const RunResult& result, const Graph& g, int columns = 72);
 
 }  // namespace ulayer

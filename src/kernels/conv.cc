@@ -182,6 +182,7 @@ void Conv2DQU8PerChannel(const Tensor& input, const Tensor& filters,
 
   const int64_t k = fs.c * fs.h * fs.w;
   const int64_t spatial = int64_t{out_h} * out_w;
+  // Plan installs reject larger k (Q303, VerifyAccumulatorBounds).
   assert(k <= INT32_MAX / (255 * 255) && "int32 accumulator would overflow");
   ScratchVec<uint8_t> cols(aux.scratch, static_cast<size_t>(k * spatial));
   const uint8_t in_pad = static_cast<uint8_t>(input.zero_point());

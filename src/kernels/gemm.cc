@@ -190,6 +190,7 @@ void GemmQU8(const uint8_t* a, int32_t a_zp, const uint8_t* b, int32_t b_zp, uin
   // Accumulation bound: every partial sum of (a - a_zp) * b terms is within
   // |bias| + 255*255*k, the same bound as the naive (a-a_zp)(b-b_zp) kernel,
   // because the b_zp correction is applied only after the k loop.
+  // Plan installs reject larger k (Q303, VerifyAccumulatorBounds).
   assert(k <= INT32_MAX / (255 * 255) && "int32 accumulator would overflow");
   const simd::GemmMicroKernels& mk = simd::ActiveGemmMicroKernels();
   parallel::ParallelFor(

@@ -6,7 +6,6 @@
 #include "common/error.h"
 #include "core/partitioner.h"
 #include "core/predictor.h"
-#include "net/coordinator.h"
 #include "soc/timing.h"
 
 namespace ulayer::serve {
@@ -58,9 +57,6 @@ ModelCache::ModelCache(const SocSpec& soc, const ExecConfig& config, Options opt
       throw Error(ErrorCode::kInvalidArgument, "ModelCache: non-positive batch size");
     }
   }
-  if (options_.net_nodes < 0) {
-    throw Error(ErrorCode::kInvalidArgument, "ModelCache: negative net_nodes");
-  }
 }
 
 std::unique_ptr<ModelCache::Entry> ModelCache::Prepare(const std::string& family, int batch) {
@@ -104,15 +100,6 @@ std::unique_ptr<ModelCache::Entry> ModelCache::Prepare(const std::string& family
   // fault plan is installed).
   e->lanes[0]->exec.RunInto(e->plan, nullptr, e->lanes[0]->result);
   e->service_us = e->lanes[0]->result.latency_us;
-
-  if (options_.net_nodes > 0) {
-    // Multi-node backend: the admission controller prices work against a
-    // distributed channel plan instead of the single-SoC schedule.
-    const net::ClusterSpec cluster = net::MakeUniformCluster(options_.net_nodes);
-    e->net_plan = std::make_unique<net::NetPlan>(net::NetPartitioner(g, cluster).Build());
-    net::Coordinator coord(*e->prepared, cluster);
-    e->service_us = coord.Run(*e->net_plan).latency_us;
-  }
 
   if (!fault_plan_.empty()) {
     for (auto& lane : e->lanes) {

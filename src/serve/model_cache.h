@@ -24,7 +24,6 @@
 #include "core/plan.h"
 #include "fault/fault.h"
 #include "models/model.h"
-#include "net/partition.h"
 #include "soc/spec.h"
 
 namespace ulayer::serve {
@@ -52,12 +51,6 @@ class ModelCache {
     bool functional = false;
     // Input-resolution override passed to MakeZooModel (0 = family default).
     int image_hw = 0;
-    // Multi-node backend: > 0 prices service_us with a distributed plan over
-    // an N-worker uniform cluster (net::Coordinator, timing-only) instead of
-    // the single-SoC executor. Functional lane execution stays local — the
-    // distributed layer is byte-identical by construction, so correctness is
-    // unaffected; only the admission controller's cost model changes.
-    int net_nodes = 0;
     // Calibration inputs per entry (QUInt8 storage + functional only).
     int calibration_inputs = 2;
     uint64_t calibration_seed = 0xca11;
@@ -79,9 +72,6 @@ class ModelCache {
     std::unique_ptr<PreparedModel> prepared;
     Plan plan;                // Partitioner plan for the batch-N graph.
     double service_us = 0.0;  // Fault-free simulated latency of one execution.
-    // Options::net_nodes > 0 only: the distributed channel plan whose
-    // fault-free Coordinator latency became service_us.
-    std::unique_ptr<net::NetPlan> net_plan;
     std::vector<std::unique_ptr<Lane>> lanes;
 
     Lane& LaneFor(int64_t session) {

@@ -1,10 +1,9 @@
 // Structured run observability (DESIGN.md Section 11).
 //
-// The executor's KernelTrace is a bare {node, proc, start, end} list — enough
-// for an ASCII timeline, useless for answering "why is this run slow":
-// which overheads (sync, map, enqueue issue) ate the gap, whether a retry
-// storm occupied the GPU, how far the latency predictor drifted from the
-// simulated schedule. A RunTrace carries typed spans with that attribution:
+// A RunTrace is the record of one executor run. It answers "why is this run
+// slow": which overheads (sync, map, enqueue issue) ate the gap, whether a
+// retry storm occupied the GPU, how far the latency predictor drifted from
+// the simulated schedule. It carries typed spans with that attribution:
 // every occupying interval on a device timeline (kernels, failed attempts,
 // issue calls, staging copies, retry backoff) plus the non-occupying latency
 // gaps (syncs, zero-copy cache maintenance), each annotated with op kind,
@@ -44,8 +43,8 @@ enum class SpanKind : uint8_t {
              // (non-occupying latency on the GPU's ready time).
 };
 
-// Fault annotation on a span (and on the executor's KernelTrace entries),
-// linking the schedule back to the injector's FaultEvent log.
+// Fault annotation on a span, linking the schedule back to the injector's
+// FaultEvent log.
 enum class FaultTag : uint8_t {
   kNone,           // Fault-free.
   kRetried,        // Kernel that succeeded after one or more failed attempts.
@@ -141,9 +140,7 @@ class TraceSink {
 // Per-kernel-span predicted-vs-simulated latency. The simulation runs on the
 // same timing model the predictor uses, so fault-free ratios are 1.0 to
 // floating-point round-off; slowdown faults surface as the throttle factor
-// and retried/fallback work shows the recovery cost. This generalizes
-// ULayerRuntime's scalar observed_over_predicted GPU ratio into the full
-// table (DESIGN.md Section 11).
+// and retried/fallback work shows the recovery cost (DESIGN.md Section 11).
 struct DriftRow {
   int node = -1;
   ProcKind proc = ProcKind::kCpu;

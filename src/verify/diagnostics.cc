@@ -94,6 +94,8 @@ std::string_view DiagCodeName(DiagCode code) {
       return "quant-scale-invalid";
     case DiagCode::kQuantZeroPointRange:
       return "quant-zero-point-range";
+    case DiagCode::kQuantAccumulatorBound:
+      return "quant-accumulator-bound";
     case DiagCode::kTraceNotEnabled:
       return "trace-not-enabled";
     case DiagCode::kTraceSpanInvalid:

@@ -74,6 +74,9 @@ enum class DiagCode : uint16_t {
   // --- Quantization (Q3xx) --------------------------------------------------
   kQuantScaleInvalid = 301,     // Q301: scale is zero, negative or not finite.
   kQuantZeroPointRange = 302,   // Q302: zero point outside [0, 255].
+  kQuantAccumulatorBound = 303, // Q303: QUInt8 conv/FC reduction length k
+                                //       exceeds INT32_MAX / 255^2 = 33,025
+                                //       (the int32 accumulator can overflow).
 
   // --- Run trace (T4xx) -----------------------------------------------------
   kTraceNotEnabled = 401,   // T401: verifying a trace that was never recorded.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <sstream>
 
@@ -489,6 +490,30 @@ Report VerifyActivationQuantization(const Graph& graph, const std::vector<QuantP
   const size_t n = std::min(act.size(), static_cast<size_t>(graph.size()));
   for (size_t i = 0; i < n; ++i) {
     CheckQuantParams(act[i], static_cast<int>(i), "activation", out);
+  }
+  return out;
+}
+
+Report VerifyAccumulatorBounds(const Graph& graph, const ExecConfig& config) {
+  Report out;
+  if (config.storage != DType::kQUInt8 ||
+      (config.cpu_compute != DType::kQUInt8 && config.gpu_compute != DType::kQUInt8)) {
+    return out;  // No integer kernel runs.
+  }
+  constexpr int64_t kMaxK = INT32_MAX / (255 * 255);
+  for (const Node& n : graph.nodes()) {
+    if ((n.desc.kind != LayerKind::kConv && n.desc.kind != LayerKind::kFullyConnected) ||
+        n.inputs.empty() || n.inputs[0] < 0 || n.inputs[0] >= graph.size()) {
+      continue;
+    }
+    const int64_t k = graph.node(n.inputs[0]).out_shape.c * n.desc.conv.kernel_h *
+                      n.desc.conv.kernel_w;
+    if (k > kMaxK) {
+      std::ostringstream os;
+      os << "QUInt8 reduction length k = " << k << " exceeds the int32 accumulator bound "
+         << kMaxK << " (INT32_MAX / 255^2)";
+      out.Error(DiagCode::kQuantAccumulatorBound, n.id, os.str());
+    }
   }
   return out;
 }

@@ -91,6 +91,14 @@ void CheckQuantParams(const QuantParams& qp, int node, const char* what, Report&
 // as produced by PreparedModel calibration).
 Report VerifyActivationQuantization(const Graph& graph, const std::vector<QuantParams>& act);
 
+// Q303: the QUInt8 conv/FC kernels sum k = C_in * KH * KW products of 8-bit
+// operands in int32, exact only while k <= INT32_MAX / 255^2 = 33,025. Flags
+// every conv/FC node past the bound when the config computes in QUInt8 on
+// either processor; fault fallback can move any step onto the CPU kernel, so
+// the verdict does not depend on the plan. ULayerRuntime checks it at every
+// plan install (the per-Run plan verification does not repeat it).
+Report VerifyAccumulatorBounds(const Graph& graph, const ExecConfig& config);
+
 // The exact number of CPU-GPU synchronizations the executor will charge when
 // running `plan` (dependency syncs plus one merge sync per cooperative
 // step). Mirrors Executor::Run's accounting so tests can cross-check

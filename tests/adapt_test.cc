@@ -1,6 +1,6 @@
 // The closed adaptation loop (DESIGN.md Section 16): drift-fed correction
-// table, health-keyed plan cache, two-way throttle recovery and the H9xx
-// invariants.
+// table, health-keyed plan cache, throttle recovery (including the baseline
+// probe for a plan with no GPU work) and the H9xx invariants.
 #include "core/adapt.h"
 
 #include <cmath>
@@ -23,12 +23,6 @@ namespace {
 using fault::FaultPlan;
 
 constexpr const char* kThrottleSpec = "gpu.kernel=slow:2.5";
-
-ULayerRuntime::Options AdaptiveOptions() {
-  ULayerRuntime::Options opts;
-  opts.adapt.enabled = true;
-  return opts;
-}
 
 // Sum of per-run latencies over `runs` consecutive runs.
 double RunTotalUs(ULayerRuntime& rt, int runs, std::vector<double>* latencies = nullptr) {
@@ -108,9 +102,9 @@ Plan TaggedPlan(int64_t batch) {
 
 TEST(PlanCacheTest, HitMissEvictionAreDeterministic) {
   PlanCache cache(2);
-  const PlanCacheKey k1{true, 0, 0x1};
-  const PlanCacheKey k2{true, 5, 0x2};
-  const PlanCacheKey k3{false, 0, 0x3};
+  const PlanCacheKey k1{true, 0x1};
+  const PlanCacheKey k2{true, 0x2};
+  const PlanCacheKey k3{false, 0x3};
 
   EXPECT_EQ(cache.Lookup(k1), nullptr);
   cache.Insert(k1, TaggedPlan(1));
@@ -160,7 +154,7 @@ TEST(RunModeLatticeTest, PinsTheSeverityRanking) {
 
 TEST(AdaptationTest, CorrectionTableConvergesUnderSlowFaults) {
   const Model m = MakeGoogLeNet();
-  ULayerRuntime::Options opts = AdaptiveOptions();
+  ULayerRuntime::Options opts;
   opts.faults = FaultPlan::Parse(kThrottleSpec);
   ULayerRuntime rt(m, MakeExynos7420(), opts);
 
@@ -193,7 +187,7 @@ TEST(AdaptationTest, ThrottleRampAdaptiveBeatsStaticAndRecovers) {
   constexpr int kThrottled = 6;
   constexpr int kRecovery = 8;
 
-  ULayerRuntime adaptive(m, soc, AdaptiveOptions());
+  ULayerRuntime adaptive(m, soc);
   ULayerRuntime::Options static_opts;
   static_opts.degradation_replan = false;
   ULayerRuntime static_rt(m, soc, static_opts);
@@ -246,6 +240,7 @@ TEST(AdaptationTest, FunctionalDigestsAreIdenticalAdaptOnAndOff) {
   ULayerRuntime::Options off;
   off.config = ExecConfig::AllF32();
   off.faults = FaultPlan::Parse(kThrottleSpec);
+  off.adapt.enabled = false;
   ULayerRuntime rt_off(m, MakeExynos7420(), off);
 
   ULayerRuntime::Options on = off;
@@ -272,7 +267,7 @@ TEST(AdaptationTest, FunctionalDigestsAreIdenticalAdaptOnAndOff) {
 
 TEST(AdaptationTest, CacheHitServesReplanWithoutPartitionerBuild) {
   const Model m = MakeGoogLeNet();
-  ULayerRuntime::Options opts = AdaptiveOptions();
+  ULayerRuntime::Options opts;
   // Coarse buckets: the small residual corrections after recovery quantize
   // to the identity fingerprint, so returning to health hits the seeded
   // baseline-key entry.
@@ -309,7 +304,7 @@ TEST(AdaptationTest, CacheHitServesReplanWithoutPartitionerBuild) {
 
 TEST(AdaptationTest, RestoredSnapshotReplaysIdentically) {
   const Model m = MakeGoogLeNet();
-  ULayerRuntime::Options opts = AdaptiveOptions();
+  ULayerRuntime::Options opts;
   opts.faults = FaultPlan::Parse(kThrottleSpec);
   ULayerRuntime rt(m, MakeExynos7420(), opts);
 
@@ -340,7 +335,7 @@ TEST(AdaptationTest, RestoredSnapshotReplaysIdentically) {
 
 TEST(AdaptationTest, ThrowingReplanHookLeavesRuntimeUsable) {
   const Model m = MakeGoogLeNet();
-  ULayerRuntime::Options opts = AdaptiveOptions();
+  ULayerRuntime::Options opts;
   opts.faults = FaultPlan::Parse(kThrottleSpec);
   ULayerRuntime rt(m, MakeExynos7420(), opts);
   const std::string plan_before = PlanToText(rt.plan(), m.graph);
@@ -368,39 +363,139 @@ TEST(AdaptationTest, ThrowingReplanHookLeavesRuntimeUsable) {
   EXPECT_TRUE(VerifyCorrectionTable(rt.predictor().corrections()).ok());
 }
 
-// --- Two-way throttle ratchet (satellite 1, adaptation off) -----------------
+// --- Throttle recovery ---------------------------------------------------------
 
-TEST(ThrottleRecoveryTest, ThrottleThenRecoverReturnsToOriginalSplit) {
+// Clean runs until `rt` runs `baseline_plan` again, up to `limit`.
+int CleanRunsToRestore(ULayerRuntime& rt, const Graph& g, const std::string& baseline_plan,
+                       int limit) {
+  rt.SetFaultPlan(FaultPlan());
+  int runs = 0;
+  while (PlanToText(rt.plan(), g) != baseline_plan && runs < limit) {
+    rt.Run();
+    ++runs;
+  }
+  return runs;
+}
+
+TEST(ThrottleRecoveryTest, ThrottleReplansThenRestoresTheExactBaseline) {
   const Model m = MakeVgg16();
   ULayerRuntime rt(m, MakeExynos7420());
   const std::string original_plan = PlanToText(rt.plan(), m.graph);
 
-  // Throttle: the scalar policy rescales GPU estimates upward (one replan).
+  // Throttle: two runs of drift replan onto a CPU-heavier split.
   rt.SetFaultPlan(FaultPlan::Parse(kThrottleSpec));
   rt.Run();
+  EXPECT_EQ(rt.replans(), 0) << "one drifting run is not enough";
   rt.Run();
-  EXPECT_GT(rt.gpu_health().applied_time_scale, 1.25);
+  EXPECT_EQ(rt.replans(), 1);
   EXPECT_EQ(rt.mode(), RunMode::kDegraded);
-  const int replans_throttled = rt.replans();
-  EXPECT_GE(replans_throttled, 1);
+  EXPECT_FALSE(rt.gpu_health().excluded) << "throttling degrades, it does not exclude";
+  EXPECT_GT(rt.predictor().corrections().Get(LayerKind::kConv, ProcKind::kGpu), 1.25);
   EXPECT_NE(PlanToText(rt.plan(), m.graph), original_plan);
+  // The loop converges: no replan churn once the corrections settle.
+  RunTotalUs(rt, 8);
+  const int replans_throttled = rt.replans();
+  RunTotalUs(rt, 2);
+  EXPECT_EQ(rt.replans(), replans_throttled) << "converged, no replan churn";
 
-  // Recovery: the observed ratio returns to 1.0. After
-  // replan_after_failures (default 2) consecutive clean below-scale runs
-  // the policy replans back down — the ratchet turns both ways.
-  rt.SetFaultPlan(FaultPlan());
-  rt.Run();
-  EXPECT_EQ(rt.gpu_health().clean_below_scale_runs, 1);
-  EXPECT_EQ(rt.replans(), replans_throttled) << "one clean run is not enough";
-  rt.Run();
-  EXPECT_DOUBLE_EQ(rt.gpu_health().applied_time_scale, 1.0);
-  EXPECT_EQ(rt.replans(), replans_throttled + 1);
-  EXPECT_EQ(rt.mode(), RunMode::kNormal);
+  // Recovery: the corrections decay back into the baseline bucket and the
+  // runtime snaps to the seeded baseline plan.
+  EXPECT_LE(CleanRunsToRestore(rt, m.graph, original_plan, 24), 24);
   EXPECT_EQ(PlanToText(rt.plan(), m.graph), original_plan)
       << "recovered health must restore the original split";
-  // Stable afterwards: no churn.
   rt.Run();
-  EXPECT_EQ(rt.replans(), replans_throttled + 1);
+  EXPECT_EQ(rt.mode(), RunMode::kNormal);
+  // Stable afterwards: no churn.
+  const int replans_restored = rt.replans();
+  RunTotalUs(rt, 4);
+  EXPECT_EQ(rt.replans(), replans_restored);
+  EXPECT_EQ(PlanToText(rt.plan(), m.graph), original_plan);
+}
+
+// Regression: a throttle severe enough that the corrected plan puts no work
+// on the GPU. No run refreshes the GPU cells then, so only the baseline probe
+// can notice that the throttle lifted.
+TEST(ThrottleRecoveryTest, SevereThrottleLiftsBackToTheExactBaseline) {
+  const SocSpec soc = MakeExynos7420();
+  for (const auto& [m, spec] : {std::pair{MakeGoogLeNet(), "gpu.kernel=slow:16"},
+                                std::pair{MakeVgg16(), "gpu.kernel=slow:8"}}) {
+    ULayerRuntime rt(m, soc);
+    const std::string baseline_plan = PlanToText(rt.plan(), m.graph);
+    rt.SetFaultPlan(FaultPlan::Parse(spec));
+    bool gpu_free = false;
+    int probes = 0;
+    for (int i = 0; i < 40; ++i) {
+      probes += rt.gpu_health().probing ? 1 : 0;
+      const RunResult r = rt.Run();
+      gpu_free = gpu_free || r.gpu_busy_us == 0.0;
+    }
+    ASSERT_TRUE(gpu_free) << m.name << ": the throttle must plan the GPU out";
+    // Probes at 8 and then 16 evidence-free runs: the interval doubles while
+    // they find the GPU still slow.
+    EXPECT_EQ(probes, 2) << m.name;
+    EXPECT_EQ(rt.gpu_health().slow_probes, 2) << m.name;
+
+    EXPECT_LE(CleanRunsToRestore(rt, m.graph, baseline_plan, 24), 24) << m.name;
+    EXPECT_EQ(PlanToText(rt.plan(), m.graph), baseline_plan) << m.name;
+    rt.Run();
+    EXPECT_EQ(rt.mode(), RunMode::kNormal) << m.name;
+    EXPECT_EQ(rt.gpu_health().slow_probes, 0) << m.name;
+    EXPECT_EQ(PlanToText(rt.plan(), m.graph), baseline_plan) << m.name;
+  }
+}
+
+TEST(ThrottleRecoveryTest, SnapshotMidProbeReplaysIdentically) {
+  const Model m = MakeGoogLeNet();
+  ULayerRuntime::Options opts;
+  opts.faults = FaultPlan::Parse("gpu.kernel=slow:16");
+  ULayerRuntime rt(m, MakeExynos7420(), opts);
+  int runs = 0;
+  while (!rt.gpu_health().probing && runs < 40) {
+    rt.Run();
+    ++runs;
+  }
+  ASSERT_TRUE(rt.gpu_health().probing) << "the probe plan must be installed";
+  const ULayerRuntime::AdaptSnapshot snap = rt.Snapshot();
+
+  // The probe, the replan it triggers, then the throttle lifts mid-replay.
+  const auto replay = [&rt] {
+    std::vector<double> lat;
+    RunTotalUs(rt, 6, &lat);
+    rt.SetFaultPlan(FaultPlan());
+    RunTotalUs(rt, 20, &lat);
+    rt.SetFaultPlan(FaultPlan::Parse("gpu.kernel=slow:16"));
+    return lat;
+  };
+  const std::vector<double> first = replay();
+  const ULayerRuntime::DeviceHealth end_health = rt.gpu_health();
+  const std::string end_plan = PlanToText(rt.plan(), m.graph);
+
+  rt.Restore(snap);
+  EXPECT_TRUE(rt.gpu_health().probing);
+  const std::vector<double> second = replay();
+  ASSERT_EQ(first.size(), second.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i], second[i]) << "replayed run " << i;
+  }
+  EXPECT_EQ(rt.gpu_health().slow_probes, end_health.slow_probes);
+  EXPECT_EQ(rt.gpu_health().runs_since_probe, end_health.runs_since_probe);
+  EXPECT_EQ(PlanToText(rt.plan(), m.graph), end_plan);
+}
+
+TEST(ThrottleRecoveryTest, NoReplanRuntimeNeverReplansUnderThrottle) {
+  const Model m = MakeGoogLeNet();
+  ULayerRuntime::Options opts;
+  opts.degradation_replan = false;
+  opts.faults = FaultPlan::Parse("gpu.kernel=slow:16");
+  ULayerRuntime rt(m, MakeExynos7420(), opts);
+  const std::string plan = PlanToText(rt.plan(), m.graph);
+  RunTotalUs(rt, 24);
+  EXPECT_EQ(rt.replans(), 0);
+  EXPECT_EQ(rt.partitioner_builds(), 1);
+  EXPECT_EQ(rt.mode(), RunMode::kNormal);
+  EXPECT_TRUE(rt.drift_history().empty()) << "a static runtime does not adapt";
+  EXPECT_TRUE(rt.predictor().corrections().IsIdentity());
+  EXPECT_EQ(PlanToText(rt.plan(), m.graph), plan);
 }
 
 TEST(ThrottleRecoveryTest, ProbationProbeRejoinsRecoveredGpu) {
@@ -419,7 +514,7 @@ TEST(ThrottleRecoveryTest, ProbationProbeRejoinsRecoveredGpu) {
   // the periodic probe can discover it.
   rt.SetFaultPlan(FaultPlan());
   rt.Run();  // CPU-only, no evidence.
-  EXPECT_FALSE(rt.gpu_health().evidence_last_run);
+  EXPECT_EQ(rt.gpu_health().runs_since_probe, 1);
   EXPECT_TRUE(rt.gpu_health().excluded);
   rt.Run();  // Probation clock expires: next plan is an optimistic probe.
   EXPECT_TRUE(rt.gpu_health().probing);
@@ -452,25 +547,32 @@ TEST(ThrottleRecoveryTest, FailedProbeReopensTheBreaker) {
   }
 }
 
-// --- Stale-health tracking (satellite 3) -------------------------------------
-
-TEST(ThrottleRecoveryTest, CpuOnlyRunsCarryNoGpuEvidence) {
+TEST(ThrottleRecoveryTest, EvidenceFreeRunLeavesTheGpuCellsUnchanged) {
   const Model m = MakeGoogLeNet();
   ULayerRuntime::Options opts;
+  opts.faults = FaultPlan::Parse(kThrottleSpec);
+  ULayerRuntime rt(m, MakeExynos7420(), opts);
+  RunTotalUs(rt, 3);
   // Order matters: the first matching rule wins, so the scoped device-lost
   // rule must precede the blanket slowdown.
-  opts.faults = FaultPlan::Parse("gpu.kernel@call:1=device-lost;gpu.kernel=slow:2.5");
-  ULayerRuntime rt(m, MakeExynos7420(), opts);
+  rt.SetFaultPlan(FaultPlan::Parse("gpu.kernel@call:1=device-lost;gpu.kernel=slow:2.5"));
   rt.Run();
   ASSERT_TRUE(rt.gpu_health().excluded);
-  const double last_ratio = rt.gpu_health().observed_over_predicted;
+  const CorrectionTable before = rt.predictor().SnapshotCorrections();
+  ASSERT_GT(before.Get(LayerKind::kConv, ProcKind::kGpu), 1.25) << "the throttle was learned";
 
-  // CPU-only run: the GPU-era ratio is retained as history, but the run is
-  // explicitly marked evidence-free instead of smuggling a 0.0 sentinel.
+  // CPU-only run: CPU evidence only. Silence about the GPU is not evidence
+  // that it recovered, so its cells keep the throttle.
   rt.SetFaultPlan(FaultPlan());
+  const size_t history = rt.drift_history().size();
   rt.Run();
-  EXPECT_FALSE(rt.gpu_health().evidence_last_run);
-  EXPECT_DOUBLE_EQ(rt.gpu_health().observed_over_predicted, last_ratio);
+  EXPECT_EQ(rt.drift_history().size(), history + 1) << "the CPU evidence was consumed";
+  for (int k = 0; k < kLayerKindCount; ++k) {
+    const LayerKind kind = static_cast<LayerKind>(k);
+    EXPECT_EQ(rt.predictor().corrections().Get(kind, ProcKind::kGpu),
+              before.Get(kind, ProcKind::kGpu))
+        << LayerKindName(kind);
+  }
 }
 
 // --- H-series verifier negatives ---------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/baselines.h"
 #include "core/runtime.h"
 #include "models/model.h"
 
@@ -137,23 +138,48 @@ TEST(IoTest, TraceToTextShowsBothDevicesBusy) {
   const Model m = MakeVgg16();
   ULayerRuntime rt(m, MakeExynos7420());
   const RunResult r = rt.Run();
-  ASSERT_FALSE(r.trace.empty());
+  ASSERT_TRUE(r.run_trace.enabled) << "the adaptive runtime records spans";
   const std::string text = TraceToText(r, m.graph);
   EXPECT_NE(text.find("CPU |"), std::string::npos);
   EXPECT_NE(text.find("GPU |"), std::string::npos);
   EXPECT_NE(text.find("#"), std::string::npos);
+  // The Gantt is a view over the occupying spans, whose durations sum to
+  // the run's busy times (T404).
+  for (const double busy : {r.cpu_busy_us, r.gpu_busy_us}) {
+    const std::string pct = "| " + std::to_string(static_cast<int>(busy / r.latency_us * 100.0)) +
+                            "% busy";
+    EXPECT_NE(text.find(pct), std::string::npos) << pct << "\n" << text;
+  }
 }
 
-TEST(IoTest, TraceEntriesAreWellFormed) {
+TEST(IoTest, TraceSpansAreWellFormed) {
   const Model m = MakeAlexNet();
   ULayerRuntime rt(m, MakeExynos7880());
   const RunResult r = rt.Run();
-  for (const KernelTrace& kt : r.trace) {
-    EXPECT_GE(kt.start_us, 0.0);
-    EXPECT_GT(kt.end_us, kt.start_us);
-    EXPECT_LE(kt.end_us, r.latency_us + 1e-9);
-    EXPECT_GE(kt.node, 0);
-    EXPECT_LT(kt.node, m.graph.size());
+  ASSERT_FALSE(r.run_trace.spans.empty());
+  for (const trace::Span& s : r.run_trace.spans) {
+    EXPECT_GE(s.start_us, 0.0);
+    EXPECT_GE(s.end_us, s.start_us);
+    if (s.kind == trace::SpanKind::kKernel) {
+      EXPECT_GT(s.end_us, s.start_us);
+    }
+    EXPECT_LE(s.end_us, r.latency_us + 1e-9);
+    EXPECT_GE(s.node, 0);
+    EXPECT_LT(s.node, m.graph.size());
+  }
+}
+
+TEST(IoTest, TraceToTextRejectsAnUntracedRun) {
+  const Model m = MakeAlexNet();
+  PreparedModel pm(m, ExecConfig::ProcessorFriendly());
+  const RunResult r =
+      Executor(pm, MakeExynos7880()).Run(MakeSingleProcessorPlan(m.graph, ProcKind::kCpu));
+  ASSERT_FALSE(r.run_trace.enabled);
+  try {
+    TraceToText(r, m.graph);
+    FAIL() << "an untraced run has no spans to draw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
   }
 }
 

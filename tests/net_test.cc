@@ -1,6 +1,6 @@
 // Distributed split inference (DESIGN.md Section 15): link timelines, slice
 // partitioning, coordinator-worker byte identity, fault recovery, the
-// N-series run verifier, net.* metrics and the serving integration.
+// N-series run verifier and net.* metrics.
 #include "net/coordinator.h"
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 #include "core/runtime.h"
 #include "net/link.h"
 #include "net/partition.h"
-#include "serve/model_cache.h"
 #include "tensor/tensor.h"
 #include "trace/metrics.h"
 #include "verify/diagnostics.h"
@@ -504,31 +503,6 @@ TEST(NetMetricsTest, AddNetRunFoldsCountersAndHistograms) {
   EXPECT_NE(text.find("net.msg_bytes"), std::string::npos);
   net::AddNetRun(m, r);
   EXPECT_EQ(m.counter("net.runs"), 2) << "counters aggregate across runs";
-}
-
-// --- Serving integration -----------------------------------------------------
-
-TEST(NetServeTest, ModelCachePricesServiceWithTheDistributedPlan) {
-  const SocSpec soc = MakeExynos7420();
-  const ExecConfig config = ExecConfig::ProcessorFriendly();
-  serve::ModelCache::Options local_opts;
-  local_opts.batch_sizes = {1};
-  local_opts.lanes = 1;
-  serve::ModelCache local(soc, config, local_opts);
-  local.Register("lenet5");
-  EXPECT_EQ(local.entry("lenet5", 1).net_plan, nullptr);
-
-  serve::ModelCache::Options net_opts = local_opts;
-  net_opts.net_nodes = 2;
-  serve::ModelCache distributed(soc, config, net_opts);
-  distributed.Register("lenet5");
-  const serve::ModelCache::Entry& e = distributed.entry("lenet5", 1);
-  ASSERT_NE(e.net_plan, nullptr);
-  EXPECT_GT(e.service_us, 0.0);
-
-  serve::ModelCache::Options bad = local_opts;
-  bad.net_nodes = -1;
-  EXPECT_THROW(serve::ModelCache(soc, config, bad), Error);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Observability layer tests (DESIGN.md Section 11):
 //  - Trace-off runs record nothing and are bit-identical to traced runs
-//    (latency, busy time, kernel trace, output bytes).
+//    (latency, busy time, syncs, energy, output bytes).
 //  - ULAYER_TRACE environment toggle.
 //  - Golden Chrome trace-event JSON: the export round-trips through the
 //    bundled parser and matches the documented schema (metadata events,
@@ -99,13 +99,7 @@ TEST(TraceTest, TraceOffRecordsNothingAndTimelinesMatchTraceOn) {
   EXPECT_DOUBLE_EQ(off.cpu_busy_us, on.cpu_busy_us);
   EXPECT_DOUBLE_EQ(off.gpu_busy_us, on.gpu_busy_us);
   EXPECT_EQ(off.sync_count, on.sync_count);
-  ASSERT_EQ(off.trace.size(), on.trace.size());
-  for (size_t i = 0; i < off.trace.size(); ++i) {
-    EXPECT_EQ(off.trace[i].node, on.trace[i].node);
-    EXPECT_EQ(off.trace[i].proc, on.trace[i].proc);
-    EXPECT_DOUBLE_EQ(off.trace[i].start_us, on.trace[i].start_us);
-    EXPECT_DOUBLE_EQ(off.trace[i].end_us, on.trace[i].end_us);
-  }
+  EXPECT_DOUBLE_EQ(off.total_energy_mj, on.total_energy_mj);
   ASSERT_TRUE(off.output.has_value());
   ASSERT_TRUE(on.output.has_value());
   ASSERT_EQ(off.output->SizeBytes(), on.output->SizeBytes());

@@ -1,10 +1,12 @@
 // Tests for the static Graph/Plan verifiers (src/verify): happy paths over
 // the whole model zoo, one distinct diagnostic per malformed-plan fixture,
 // corrupt-graph detection, sync-count coherence with the executor, and
-// quantization-parameter sanity.
+// quantization sanity (parameters and the int32 accumulator bound).
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <sstream>
 
 #include "baselines/baselines.h"
 #include "core/runtime.h"
@@ -414,6 +416,53 @@ TEST(VerifyQuant, ActivationSweepFlagsBadScales) {
   EXPECT_TRUE(r.Has(DiagCode::kQuantScaleInvalid));
   EXPECT_TRUE(r.Has(DiagCode::kQuantZeroPointRange));
   EXPECT_EQ(r.error_count(), 2);
+}
+
+// --- Q303: the QUInt8 int32-accumulator bound --------------------------------
+
+TEST(VerifyQuant, WideFcFixtureExceedsTheAccumulatorBound) {
+  std::ifstream in(std::string(ULAYER_SOURCE_DIR) + "/tests/data/wide_fc_qu8.graph");
+  if (!in) {
+    GTEST_SKIP() << "tests/data/wide_fc_qu8.graph not reachable from the test binary";
+  }
+  std::stringstream text;
+  text << in.rdbuf();
+  Model m;
+  m.name = "wide-fc";
+  m.graph = GraphFromText(text.str());
+  ASSERT_TRUE(VerifyGraph(m.graph).ok());
+  for (const ExecConfig& cfg : {ExecConfig::AllQU8(), ExecConfig::ProcessorFriendly()}) {
+    const Report r = VerifyAccumulatorBounds(m.graph, cfg);
+    ASSERT_EQ(r.error_count(), 1) << r.ToString();
+    EXPECT_EQ(r.diagnostics()[0].code, DiagCode::kQuantAccumulatorBound);
+    EXPECT_EQ(r.diagnostics()[0].node, 1);
+    // The runtime refuses to install a plan the integer kernels cannot run.
+    ULayerRuntime::Options opts;
+    opts.config = cfg;
+    try {
+      ULayerRuntime rt(m, MakeExynos7420(), opts);
+      ADD_FAILURE() << "plan install must reject k = 40000";
+    } catch (const VerifyError& e) {
+      EXPECT_TRUE(e.report().Has(DiagCode::kQuantAccumulatorBound));
+    }
+  }
+  for (const ExecConfig& cfg : {ExecConfig::AllF32(), ExecConfig::AllF16()}) {
+    EXPECT_TRUE(VerifyAccumulatorBounds(m.graph, cfg).ok()) << "float kernels have no bound";
+  }
+}
+
+TEST(VerifyQuant, AccumulatorBoundIsExactAndTheZooIsClean) {
+  // k = 33,025 is the longest exact reduction; one more input crosses it.
+  for (const int64_t c : {int64_t{33025}, int64_t{33026}}) {
+    Graph g;
+    const int in = g.AddInput(Shape(1, c, 1, 1), "in");
+    g.AddFullyConnected("fc", in, 4, false);
+    EXPECT_EQ(VerifyAccumulatorBounds(g, ExecConfig::AllQU8()).ok(), c == 33025) << c;
+  }
+  // The largest zoo reduction is VGG-16 fc6 at k = 25,088.
+  for (const Model& m : Zoo()) {
+    EXPECT_TRUE(VerifyAccumulatorBounds(m.graph, ExecConfig::AllQU8()).ok()) << m.name;
+  }
 }
 
 // --- Plan serialization round-trip through the verifier ---------------------

@@ -110,8 +110,10 @@ Options:
                     health-keyed plan cache) against a static one pinned to
                     its profile-time plan, prints per-run latencies, the
                     correction table, plan-cache statistics and the H-series
-                    verdicts (H9xx codes). The output is byte-identical at
-                    any ULAYER_CPU_THREADS value — CI diffs two runs
+                    verdicts (H9xx codes). Exits 1 on an H-series error or
+                    when the recovery does not restore the baseline plan.
+                    The output is byte-identical at any ULAYER_CPU_THREADS
+                    value — CI diffs two runs
   -h, --help        this text
 )";
 
@@ -173,7 +175,7 @@ int main(int argc, char** argv) {
   bool serve_smoke = false;
   bool net_smoke = false;
   bool adapt_smoke = false;
-  int net_nodes = 2;
+  int node_count = 2;
 
   auto next_arg = [&](int& i, const char* flag) -> std::string {
     if (i + 1 >= argc) {
@@ -236,11 +238,11 @@ int main(int argc, char** argv) {
       adapt_smoke = true;
     } else if (a == "--net-nodes") {
       try {
-        net_nodes = std::stoi(next_arg(i, "--net-nodes"));
+        node_count = std::stoi(next_arg(i, "--net-nodes"));
       } catch (const std::exception&) {
         UsageError("--net-nodes wants an integer");
       }
-      if (net_nodes <= 0) {
+      if (node_count <= 0) {
         UsageError("--net-nodes wants a positive integer");
       }
     } else if (a == "-h" || a == "--help") {
@@ -325,12 +327,12 @@ int main(int argc, char** argv) {
         }
         prepared.Calibrate(calib);
       }
-      const net::ClusterSpec cluster = net::MakeUniformCluster(net_nodes);
+      const net::ClusterSpec cluster = net::MakeUniformCluster(node_count);
       const net::NetPartitioner partitioner(model.graph, cluster);
       // The even plan guarantees every worker participates on every
       // splittable layer — the latency-optimal plan may keep a small model
       // local, which would leave the fault machinery unexercised.
-      const net::NetPlan plan = net::MakeEvenPlan(model.graph, net_nodes);
+      const net::NetPlan plan = net::MakeEvenPlan(model.graph, node_count);
       net::Coordinator coord(prepared, cluster);
       if (run_faults) {
         coord.SetFaultPlan(std::move(fault_plan));
@@ -340,7 +342,7 @@ int main(int argc, char** argv) {
       const net::NetRunResult r = coord.Run(plan, &input);
 
       const Report net_report = net::VerifyNetRun(model.graph, cluster, r);
-      std::cerr << "net (" << model.name << ", " << net_nodes << " nodes, config "
+      std::cerr << "net (" << model.name << ", " << node_count << " nodes, config "
                 << config_name << "): " << r.messages.size() << " messages, "
                 << net_report.error_count() << " errors, " << net_report.warning_count()
                 << " warnings\n";
@@ -357,7 +359,7 @@ int main(int argc, char** argv) {
       digest << std::hex << r.output_digest;
       std::cout << "net-smoke " << model.name << " (config " << config_name
                 << "): digest 0x" << digest.str() << "\n";
-      std::cout << "net-smoke " << net_nodes << " nodes: latency " << r.latency_us
+      std::cout << "net-smoke " << node_count << " nodes: latency " << r.latency_us
                 << " us, " << r.wire_messages << " messages, " << r.wire_bytes
                 << " wire bytes\n";
       std::cout << plan.ToString() << "\n" << r.degradation.ToString() << "\n";
@@ -380,7 +382,7 @@ int main(int argc, char** argv) {
 
       // Throughput-oriented pipeline partitioning over the same cluster
       // (timing-only, fault-free by contract).
-      const net::NetPlan pipe = partitioner.BuildPipeline(net_nodes);
+      const net::NetPlan pipe = partitioner.BuildPipeline(node_count);
       const net::PipelineResult pr = coord.RunPipeline(pipe, 8);
       std::cout << "net-pipeline " << pipe.stage_worker.size() << " stages, " << pr.items
                 << " items: makespan " << pr.makespan_us << " us, bottleneck "
@@ -418,7 +420,6 @@ int main(int argc, char** argv) {
       const Model model = MakeZooModel(model_name.empty() ? "googlenet" : model_name);
       ULayerRuntime::Options aopts;
       aopts.config = config;
-      aopts.adapt.enabled = true;
       ULayerRuntime adaptive(model, soc, aopts);
       ULayerRuntime::Options sopts;
       sopts.config = config;
@@ -455,9 +456,8 @@ int main(int argc, char** argv) {
                 << cs.insertions << " insertions, " << cs.evictions << " evictions; "
                 << adaptive.partitioner_builds() << " partitioner builds, "
                 << adaptive.replans() << " replans\n";
-      std::cout << "plan restored to baseline: "
-                << (PlanToText(adaptive.plan(), model.graph) == baseline_plan ? "yes" : "no")
-                << "\n";
+      const bool restored = PlanToText(adaptive.plan(), model.graph) == baseline_plan;
+      std::cout << "plan restored to baseline: " << (restored ? "yes" : "no") << "\n";
 
       Report report = VerifyCorrectionTable(adaptive.predictor().corrections());
       report.Merge(VerifyPlanCache(model.graph, adaptive.plan_cache(), adaptive.config()));
@@ -471,7 +471,7 @@ int main(int argc, char** argv) {
       if (!report.diagnostics().empty()) {
         std::cerr << report.ToString();
       }
-      return report.ok() ? 0 : 1;
+      return report.ok() && restored ? 0 : 1;
     } catch (const Error& e) {
       std::cerr << "ulayer_verify: adapt smoke failed (" << ErrorCodeName(e.code())
                 << "): " << e.what() << "\n";
@@ -564,7 +564,8 @@ int main(int argc, char** argv) {
     std::cout << PlanToText(plan, model.graph);
   }
 
-  const Report plan_report = VerifyPlan(model.graph, plan, config);
+  Report plan_report = VerifyPlan(model.graph, plan, config);
+  plan_report.Merge(VerifyAccumulatorBounds(model.graph, config));
   std::cerr << "plan " << plan_source << " (soc " << soc.name << ", config " << config_name
             << "): " << plan_report.error_count() << " errors, " << plan_report.warning_count()
             << " warnings\n";
