@@ -29,7 +29,6 @@
 #include "kernels/im2col.h"
 #include "kernels/pack.h"
 #include "kernels/simd.h"
-#include "kernels/winograd.h"
 #include "memory/arena.h"
 #include "parallel/thread_pool.h"
 #include "quant/half.h"
@@ -212,139 +211,6 @@ void Conv2DQU8ViaF16(const Tensor& input, const Tensor& filters, const Tensor& b
                             }
                           });
   }
-}
-
-// Frozen replica of the pre-SIMD Winograd F(2x2,3x3) conv: identical
-// transforms, scalar element-wise multiply-accumulate in the transform
-// domain. Bit-identical to the live kernel (the micro-kernel preserves the
-// per-lane ascending-c order), embedded so the comparison keeps a fixed
-// baseline.
-namespace wino {
-
-void TransformFilter(const float* g, float* u) {
-  float t[4][3];
-  for (int c = 0; c < 3; ++c) {
-    const float g0 = g[0 * 3 + c], g1 = g[1 * 3 + c], g2 = g[2 * 3 + c];
-    t[0][c] = g0;
-    t[1][c] = 0.5f * (g0 + g1 + g2);
-    t[2][c] = 0.5f * (g0 - g1 + g2);
-    t[3][c] = g2;
-  }
-  for (int r = 0; r < 4; ++r) {
-    const float t0 = t[r][0], t1 = t[r][1], t2 = t[r][2];
-    u[r * 4 + 0] = t0;
-    u[r * 4 + 1] = 0.5f * (t0 + t1 + t2);
-    u[r * 4 + 2] = 0.5f * (t0 - t1 + t2);
-    u[r * 4 + 3] = t2;
-  }
-}
-
-void TransformInput(const float d[4][4], float* v) {
-  float t[4][4];
-  for (int c = 0; c < 4; ++c) {
-    t[0][c] = d[0][c] - d[2][c];
-    t[1][c] = d[1][c] + d[2][c];
-    t[2][c] = d[2][c] - d[1][c];
-    t[3][c] = d[1][c] - d[3][c];
-  }
-  for (int r = 0; r < 4; ++r) {
-    v[r * 4 + 0] = t[r][0] - t[r][2];
-    v[r * 4 + 1] = t[r][1] + t[r][2];
-    v[r * 4 + 2] = t[r][2] - t[r][1];
-    v[r * 4 + 3] = t[r][1] - t[r][3];
-  }
-}
-
-void TransformOutput(const float* m, float y[2][2]) {
-  float t[2][4];
-  for (int c = 0; c < 4; ++c) {
-    t[0][c] = m[0 * 4 + c] + m[1 * 4 + c] + m[2 * 4 + c];
-    t[1][c] = m[1 * 4 + c] - m[2 * 4 + c] - m[3 * 4 + c];
-  }
-  for (int r = 0; r < 2; ++r) {
-    y[r][0] = t[r][0] + t[r][1] + t[r][2];
-    y[r][1] = t[r][1] - t[r][2] - t[r][3];
-  }
-}
-
-}  // namespace wino
-
-void WinogradConv2DF32(const Tensor& input, const Tensor& filters, const Tensor& bias,
-                       const Conv2DParams& p, Tensor& output) {
-  const Shape& is = input.shape();
-  const Shape& fs = filters.shape();
-  const int out_h = p.OutH(static_cast<int>(is.h));
-  const int out_w = p.OutW(static_cast<int>(is.w));
-  const int64_t ic = is.c;
-  std::vector<float> u(static_cast<size_t>(fs.n * ic * 16));
-  for (int64_t oc = 0; oc < fs.n; ++oc) {
-    for (int64_t c = 0; c < ic; ++c) {
-      wino::TransformFilter(filters.Data<float>() + fs.Offset(oc, c, 0, 0),
-                            u.data() + (oc * ic + c) * 16);
-    }
-  }
-  const int tiles_h = (out_h + 1) / 2;
-  const int tiles_w = (out_w + 1) / 2;
-  const double ops_per_oc =
-      static_cast<double>(tiles_h) * tiles_w * static_cast<double>(ic) * 16.0;
-  parallel::ParallelFor(0, fs.n, parallel::GrainForOps(ops_per_oc), [&](int64_t ob,
-                                                                        int64_t oe) {
-    std::vector<float> v(static_cast<size_t>(ic) * 16);
-    for (int64_t ni = 0; ni < is.n; ++ni) {
-      for (int th = 0; th < tiles_h; ++th) {
-        for (int tw = 0; tw < tiles_w; ++tw) {
-          const int ih0 = th * 2 - p.pad_h;
-          const int iw0 = tw * 2 - p.pad_w;
-          for (int64_t c = 0; c < ic; ++c) {
-            float d[4][4];
-            const float* in_c = input.Data<float>() + is.Offset(ni, c, 0, 0);
-            for (int r = 0; r < 4; ++r) {
-              for (int cc = 0; cc < 4; ++cc) {
-                const int ih = ih0 + r;
-                const int iw = iw0 + cc;
-                d[r][cc] = (ih < 0 || ih >= is.h || iw < 0 || iw >= is.w)
-                               ? 0.0f
-                               : in_c[ih * is.w + iw];
-              }
-            }
-            wino::TransformInput(d, v.data() + c * 16);
-          }
-          for (int64_t oc = ob; oc < oe; ++oc) {
-            float m[16] = {};
-            const float* u_oc = u.data() + oc * ic * 16;
-            for (int64_t c = 0; c < ic; ++c) {
-              const float* uc = u_oc + c * 16;
-              const float* vc = v.data() + c * 16;
-              for (int kidx = 0; kidx < 16; ++kidx) {
-                m[kidx] += uc[kidx] * vc[kidx];
-              }
-            }
-            float y[2][2];
-            wino::TransformOutput(m, y);
-            const float b0 = bias.empty() ? 0.0f : bias.Data<float>()[oc];
-            float* out = output.Data<float>() + output.shape().Offset(ni, oc, 0, 0);
-            for (int r = 0; r < 2; ++r) {
-              const int oh = th * 2 + r;
-              if (oh >= out_h) {
-                continue;
-              }
-              for (int cc = 0; cc < 2; ++cc) {
-                const int ow = tw * 2 + cc;
-                if (ow >= out_w) {
-                  continue;
-                }
-                float val = y[r][cc] + b0;
-                if (p.relu) {
-                  val = std::max(val, 0.0f);
-                }
-                out[oh * out_w + ow] = val;
-              }
-            }
-          }
-        }
-      }
-    }
-  });
 }
 
 }  // namespace legacy
@@ -644,36 +510,6 @@ int main(int argc, char** argv) {
                                   static_cast<size_t>(out_new.SizeBytes())) == 0;
     record(std::string("conv_qu8_via_f16_") + c.name, ops.m, ops.n, ops.k,
            ops.m * ops.k + ops.k * ops.n + ops.m * ops.n, legacy_ns, new_ns, same);
-  }
-
-  // --- Winograd F(2x2,3x3): scalar transform-domain MAC vs the wino_madd
-  // micro-kernel. F32 end to end (Winograd runs only in the F32 flavor).
-  {
-    const ConvCase& c = kCases[2];  // googlenet_3a_3x3: 3x3 stride-1 pad-1
-    Conv2DParams p;
-    p.kernel_h = p.kernel_w = c.kernel;
-    p.pad_h = p.pad_w = c.pad;
-    p.relu = true;
-    Tensor in(Shape(1, c.ic, c.hw, c.hw), DType::kF32);
-    Tensor w(Shape(c.oc, c.ic, c.kernel, c.kernel), DType::kF32);
-    Tensor bias(Shape(1, c.oc, 1, 1), DType::kF32);
-    FillUniform(in, 41, -1.0f, 1.0f);
-    FillUniform(w, 42, -0.4f, 0.4f);
-    FillUniform(bias, 43, -0.2f, 0.2f);
-    const Shape os(1, c.oc, p.OutH(c.hw), p.OutW(c.hw));
-    Tensor out_legacy(os, DType::kF32);
-    Tensor out_new(os, DType::kF32);
-    const int64_t m = c.oc;
-    const int64_t k = int64_t{c.ic} * c.kernel * c.kernel;
-    const int64_t n = os.h * os.w;
-    const double legacy_ns = BestNsPerCall(
-        [&] { legacy::WinogradConv2DF32(in, w, bias, p, out_legacy); }, 1, quick ? 2 : 3);
-    const double new_ns = BestNsPerCall(
-        [&] { WinogradConv2DF32(in, w, bias, p, out_new); }, 1, quick ? 2 : 3);
-    const bool same = std::memcmp(out_legacy.raw(), out_new.raw(),
-                                  static_cast<size_t>(out_new.SizeBytes())) == 0;
-    record(std::string("winograd_f32_") + c.name, m, n, k, (m * k + k * n + m * n) * 4,
-           legacy_ns, new_ns, same);
   }
 
   // JSON summary.

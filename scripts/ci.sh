@@ -55,13 +55,14 @@ echo "==> [2/13] kernel benchmark smoke (legacy-vs-optimized byte identity)"
 ./build-werror/bench/kernel_bench --quick --out BENCH_kernels.json
 
 echo "==> [3/13] forced-scalar ISA run (ULAYER_SIMD=scalar dispatch check)"
-# Re-runs the kernel and analysis suites with SIMD dispatch forced to the
-# scalar micro-kernels, then repeats the benchmark byte-identity smoke. The
-# QU8/F32 paths are bit-exact across ISAs by contract, so everything that
-# passed stage [1] must pass unchanged; this catches scalar-tail and
-# dispatch-table regressions that AVX2-only CI would hide.
+# Re-runs the kernel and analysis suites, and arena_test's golden output
+# digests, with SIMD dispatch forced to the scalar micro-kernels, then
+# repeats the benchmark byte-identity smoke. The QU8/F32 paths are bit-exact
+# across ISAs by contract, so everything that passed stage [1] must pass
+# unchanged; this catches scalar-tail and dispatch-table regressions that
+# AVX2-only CI would hide.
 ULAYER_SIMD=scalar ctest --test-dir build-werror --output-on-failure -j "$JOBS" \
-  -R 'gemm_test|conv_test|winograd_test|im2col_test|analysis_test|integration_test'
+  -R 'gemm_test|conv_test|arena_test|im2col_test|analysis_test|integration_test'
 ULAYER_SIMD=scalar ./build-werror/bench/kernel_bench --quick \
   --out BENCH_kernels_scalar.json >/dev/null
 rm -f BENCH_kernels_scalar.json
@@ -98,7 +99,7 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
     -DULAYER_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS"
   ULAYER_CPU_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'parallel_test|gemm_test|conv_test|pool_test|elementwise_test|winograd_test|quantize_test|integration_test|executor_test|prepared_test|arena_test|fault_test|analysis_test|serve_test'
+    -R 'parallel_test|gemm_test|conv_test|pool_test|elementwise_test|quantize_test|integration_test|executor_test|prepared_test|arena_test|fault_test|analysis_test|serve_test'
 
   echo "==> [7/13] fault injection under ASan + TSan (scripts/ci_faults.spec)"
   # fault_test (its specs are embedded in the tests) runs under both

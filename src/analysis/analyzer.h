@@ -51,9 +51,8 @@ AccessSpec NodeAccessSpec(const PreparedModel& pm, int id, ProcKind proc, int64_
 
 // A7xx checks of one spec in isolation: every declared ParallelFor loop's
 // chunk write sets must be pairwise disjoint (A701) and the non-scratch
-// loops' union must equal the declared writes (A702). Exposed so kernel
-// families the executor does not dispatch to (e.g. Winograd) are provable in
-// unit tests.
+// loops' union must equal the declared writes (A702). Exposed so hand-built
+// specs are provable in unit tests.
 void CheckSpecLoops(const AccessSpec& spec, int node_id, Report& report);
 
 // Full static proof of the A5xx/A6xx/A7xx invariants for `plan` over

@@ -36,8 +36,8 @@ void ComputeNodeSlice(const PreparedModel& pm, int id, ProcKind proc, std::vecto
   const Tensor& in0 = act[static_cast<size_t>(n.inputs.empty() ? id : n.inputs[0])];
 
   // Prepare-time caches; every pointer is null when the cache is absent
-  // (legacy path, pre-Calibrate, or degenerate quant params), in which case
-  // the kernels compute the value per call exactly as before.
+  // (pre-Calibrate or degenerate quant params), in which case the kernels
+  // compute the value per call.
   ConvAux aux;
   aux.scratch = scratch;
   aux.requant = pm.RequantPtr(id);

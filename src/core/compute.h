@@ -21,9 +21,9 @@ namespace ulayer {
 //
 // `scratch`, when non-null, supplies kernel staging buffers (im2col, F16
 // conversions) from a prepare-sized arena; the caller must Reset() it
-// between kernel invocations. Null: kernels heap-allocate per call (legacy
-// path). The PreparedModel's weight caches are forwarded to the kernels
-// whenever present.
+// between kernel invocations. Null: kernels heap-allocate per call (the
+// src/net coordinator runs this way). The PreparedModel's weight caches are
+// forwarded to the kernels whenever present.
 //
 // `staged_cols`, when non-null, is the via-F16 staged input columns built by
 // StageViaF16Cols for this node — forwarded as ConvAux::staged_cols so the

@@ -52,12 +52,6 @@ struct ExecConfig {
   // bit-identical either way, but spans cost memory and time to collect.
   bool trace = false;
 
-  // Steady-state memory planning (DESIGN.md Section 9): prepare-time weight
-  // caches, a monotonic scratch arena for kernel staging buffers, and
-  // liveness-planned activation pooling. Off restores the per-call-allocation
-  // path (kept for one release as a byte-identical regression baseline).
-  bool scratch_arena = true;
-
   // Static memory-access analysis (src/analysis, DESIGN.md §12): at the first
   // functional Run() of each plan, prove the A5xx/A6xx/A7xx invariants of the
   // packed pool layout against the kernels' declared AccessSpecs and throw

@@ -368,31 +368,47 @@ void Executor::RunImpl(const Plan& plan, const Tensor* input, RunResult& out) {
   done_.assign(static_cast<size_t>(g.size()), NodeDone{});
   int syncs = 0;
 
-  // Functional state. With config.scratch_arena the activation tensors are
-  // views into a liveness-planned pool and kernel staging buffers come from
-  // the prepare-sized arena: steady-state runs allocate nothing.
+  // Functional state: the activation tensors are views into a
+  // liveness-planned pool and kernel staging buffers come from the
+  // prepare-sized arena, so steady-state runs allocate nothing.
   std::vector<Tensor> act;
-  memory::ScratchArena* scratch = nullptr;
   if (input != nullptr) {
-    if (cfg.scratch_arena) {
-      EnsureMemoryPlan();
-      if (cfg.analyze) {
-        EnsureAnalyzed(plan);
-      }
-      scratch = &scratch_;
-    }
     act.resize(static_cast<size_t>(g.size()));
     act[0] = pm_.PrepareInput(*input);
+    EnsureMemoryPlan();
+    if (cfg.analyze) {
+      EnsureAnalyzed(plan);
+    }
     for (const Node& n : g.nodes()) {
       if (n.desc.kind != LayerKind::kInput) {
-        act[static_cast<size_t>(n.id)] =
-            cfg.scratch_arena
-                ? pm_.MakeActivationView(
-                      n.id, act_pool_.data() + mem_layout_.offsets[static_cast<size_t>(n.id)])
-                : pm_.MakeActivation(n.id);
+        act[static_cast<size_t>(n.id)] = pm_.MakeActivationView(
+            n.id, act_pool_.data() + mem_layout_.offsets[static_cast<size_t>(n.id)]);
       }
     }
   }
+
+  // Computes both channel slices of a cooperative step, the second with
+  // `second`'s kernel flavor (kCpu when the GPU slice fell back). The slices
+  // run one after the other on this thread, and the arena is reset between
+  // them so peak use is one slice's staging buffers. When both slice flavors
+  // compute in kF16 the dequantize+im2col producer is staged once above a
+  // Mark and shared across the slices (see StageViaF16Cols).
+  const bool share_f16_staging = cfg.ComputeFor(ProcKind::kCpu) == DType::kF16 &&
+                                 cfg.ComputeFor(ProcKind::kGpu) == DType::kF16;
+  const auto compute_slices = [&](const Node& n, const ResolvedSplit& split, ProcKind second) {
+    scratch_.Reset();
+    const Half* staged =
+        share_f16_staging ? StageViaF16Cols(pm_, n.id, act, &scratch_) : nullptr;
+    const memory::ScratchArena::Mark mark = scratch_.MarkPoint();
+    ComputeNodeSlice(pm_, n.id, ProcKind::kCpu, act, split.cpu.begin, split.cpu.end, &scratch_,
+                     staged);
+    if (staged != nullptr) {
+      scratch_.ResetTo(mark);  // Keep the staging, recycle slice scratch.
+    } else {
+      scratch_.Reset();
+    }
+    ComputeNodeSlice(pm_, n.id, second, act, split.gpu.begin, split.gpu.end, &scratch_, staged);
+  };
 
   for (const Node& n : g.nodes()) {
     const NodeAssignment& a = plan.nodes[static_cast<size_t>(n.id)];
@@ -475,10 +491,8 @@ void Executor::RunImpl(const Plan& plan, const Tensor* input, RunResult& out) {
           record_kernel(n, ProcKind::kCpu, ev, w, fb_body, 0, oc, tag, last_fault_event());
           nd = NodeDone{ev, true, false};
           if (input != nullptr) {
-            if (scratch != nullptr) {
-              scratch->Reset();
-            }
-            ComputeNode(pm_, n.id, proc, act, scratch);
+            scratch_.Reset();
+            ComputeNode(pm_, n.id, proc, act, &scratch_);
           }
           continue;
         }
@@ -489,10 +503,8 @@ void Executor::RunImpl(const Plan& plan, const Tensor* input, RunResult& out) {
                     tag == trace::FaultTag::kNone ? -1 : last_fault_event());
       nd = NodeDone{ev, proc == ProcKind::kCpu, proc == ProcKind::kGpu};
       if (input != nullptr) {
-        if (scratch != nullptr) {
-          scratch->Reset();
-        }
-        ComputeNode(pm_, n.id, proc, act, scratch);
+        scratch_.Reset();
+        ComputeNode(pm_, n.id, proc, act, &scratch_);
       }
       continue;
     }
@@ -621,30 +633,8 @@ void Executor::RunImpl(const Plan& plan, const Tensor* input, RunResult& out) {
                     trace::FaultTag::kFallback, last_fault_event());
       nd = NodeDone{fb_ev, true, false};
       if (input != nullptr) {
-        if (scratch != nullptr) {
-          scratch->Reset();
-        }
-        // Both fallback slices run the CPU kernel flavor; when that flavor is
-        // via-F16 on both processors' configs, stage the dequantize+im2col
-        // producer once and share it (see StageViaF16Cols).
-        const Half* staged = cfg.ComputeFor(ProcKind::kCpu) == DType::kF16 &&
-                                     cfg.ComputeFor(ProcKind::kGpu) == DType::kF16
-                                 ? StageViaF16Cols(pm_, n.id, act, scratch)
-                                 : nullptr;
-        const memory::ScratchArena::Mark mark =
-            scratch != nullptr ? scratch->MarkPoint() : memory::ScratchArena::Mark{};
-        ComputeNodeSlice(pm_, n.id, ProcKind::kCpu, act, split.cpu.begin, split.cpu.end,
-                         scratch, staged);
-        if (scratch != nullptr) {
-          if (staged != nullptr) {
-            scratch->ResetTo(mark);  // Keep the staging, recycle slice scratch.
-          } else {
-            scratch->Reset();
-          }
-        }
         // The GPU's slice, computed with the CPU kernel flavor.
-        ComputeNodeSlice(pm_, n.id, ProcKind::kCpu, act, split.gpu.begin, split.gpu.end,
-                         scratch, staged);
+        compute_slices(n, split, ProcKind::kCpu);
       }
       continue;
     }
@@ -683,31 +673,7 @@ void Executor::RunImpl(const Plan& plan, const Tensor* input, RunResult& out) {
     nd = NodeDone{ucl::Event{merged}, true, true};
 
     if (input != nullptr) {
-      // Both slices run sequentially on this thread; reset between them so
-      // peak arena use is one slice's staging buffers. When both slice
-      // flavors compute in kF16 the dequantize+im2col producer is staged
-      // once above a Mark and shared across the slices (the redundant
-      // per-slice recomputation was the via-F16 cooperative bug).
-      if (scratch != nullptr) {
-        scratch->Reset();
-      }
-      const Half* staged = cfg.ComputeFor(ProcKind::kCpu) == DType::kF16 &&
-                                   cfg.ComputeFor(ProcKind::kGpu) == DType::kF16
-                               ? StageViaF16Cols(pm_, n.id, act, scratch)
-                               : nullptr;
-      const memory::ScratchArena::Mark mark =
-          scratch != nullptr ? scratch->MarkPoint() : memory::ScratchArena::Mark{};
-      ComputeNodeSlice(pm_, n.id, ProcKind::kCpu, act, split.cpu.begin, split.cpu.end, scratch,
-                       staged);
-      if (scratch != nullptr) {
-        if (staged != nullptr) {
-          scratch->ResetTo(mark);  // Keep the staging, recycle slice scratch.
-        } else {
-          scratch->Reset();
-        }
-      }
-      ComputeNodeSlice(pm_, n.id, ProcKind::kGpu, act, split.gpu.begin, split.gpu.end, scratch,
-                       staged);
+      compute_slices(n, split, ProcKind::kGpu);
     }
   }
 

@@ -146,10 +146,10 @@ class Executor {
   double ReadyTime(const Node& node, bool on_cpu, bool on_gpu, int* syncs,
                    trace::TraceSink& sink) const;
 
-  // Prepare-time memory planning (config.scratch_arena functional runs):
-  // sizes the kernel scratch arena from a dry run over the graph and packs
-  // the activation tensors into one liveness-planned pool. Idempotent; runs
-  // once on the first functional Run().
+  // Prepare-time memory planning for functional runs: sizes the kernel
+  // scratch arena from a dry run over the graph and packs the activation
+  // tensors into one liveness-planned pool. Idempotent; runs once on the
+  // first functional Run().
   void EnsureMemoryPlan();
 
   // Static memory-access analysis (ExecConfig::analyze, DESIGN.md §12): runs

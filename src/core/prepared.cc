@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/error.h"
 #include "core/reference.h"
@@ -50,6 +51,33 @@ void PackFilterTensor(const T* w, const Shape& fs, std::vector<T>& out) {
   PackRowPanels(w, fs.n, k, out.data());
 }
 
+// Input checks behind PrepareInput and Calibrate: they throw
+// Error(kInvalidArgument), with `where` prefixing the message, and allocate
+// nothing unless they throw.
+void RequireWeights(const Model& model, const char* where) {
+  if (!model.has_weights()) {
+    throw Error(ErrorCode::kInvalidArgument,
+                std::string(where) + ": model weights are not materialized");
+  }
+}
+
+// The functional input must be F32 and shaped like the graph input, which
+// is node 0 by construction.
+void CheckInput(const Graph& g, const Tensor& input, const char* where) {
+  const Shape& want = g.node(0).out_shape;
+  if (input.dtype() != DType::kF32) {
+    throw Error(ErrorCode::kInvalidArgument, std::string(where) + ": input dtype is " +
+                                                 std::string(DTypeName(input.dtype())) +
+                                                 ", want f32");
+  }
+  if (input.shape() != want) {
+    throw Error(ErrorCode::kInvalidArgument, std::string(where) + ": input shape " +
+                                                 input.shape().ToString() +
+                                                 " differs from the graph input " +
+                                                 want.ToString());
+  }
+}
+
 }  // namespace
 
 PreparedModel::PreparedModel(const Model& model, const ExecConfig& config)
@@ -67,7 +95,7 @@ PreparedModel::PreparedModel(const Model& model, const ExecConfig& config)
       case DType::kF32:
         pw.filters = w.filters;
         pw.bias = w.bias;
-        if (config.scratch_arena && ShouldPackFilters(n)) {
+        if (ShouldPackFilters(n)) {
           PackFilterTensor(pw.filters.Data<float>(), pw.filters.shape(),
                            pw.filters_packed_f32);
         }
@@ -75,7 +103,7 @@ PreparedModel::PreparedModel(const Model& model, const ExecConfig& config)
       case DType::kF16:
         pw.filters = ToF16Tensor(w.filters);
         pw.bias = ToF16Tensor(w.bias);
-        if (config.scratch_arena && ShouldPackFilters(n)) {
+        if (ShouldPackFilters(n)) {
           PackFilterTensor(pw.filters.Data<Half>(), pw.filters.shape(),
                            pw.filters_packed_f16);
         }
@@ -87,9 +115,7 @@ PreparedModel::PreparedModel(const Model& model, const ExecConfig& config)
           pw.filters = QuantizeTensor(w.filters, TensorMinMaxParams(w.filters));
         }
         // bias_i32 needs the input activation scale; filled by Calibrate().
-        if (config.scratch_arena) {
-          BuildWeightCaches(n, pw);
-        }
+        BuildWeightCaches(n, pw);
         break;
       case DType::kInt32:
         assert(false && "kInt32 is not a storage dtype");
@@ -147,8 +173,18 @@ void PreparedModel::BuildWeightCaches(const Node& n, PreparedWeights& pw) const 
 
 void PreparedModel::Calibrate(const std::vector<Tensor>& inputs) {
   assert(config_.storage == DType::kQUInt8 && "only QUInt8 storage needs calibration");
-  assert(model_->has_weights());
-  assert(!inputs.empty());
+  // Reject the whole set before touching any state: a bad input leaves a
+  // previous calibration intact.
+  RequireWeights(*model_, "Calibrate");
+  if (inputs.empty()) {
+    throw Error(ErrorCode::kInvalidArgument, "Calibrate: the calibration set is empty");
+  }
+  for (const Tensor& input : inputs) {
+    CheckInput(graph(), input, "Calibrate");
+  }
+  // A throw below (degenerate bias scale) leaves the model uncalibrated
+  // rather than half-updated.
+  calibrated_ = false;
   // The calibration forward passes run the same threaded kernels as
   // execution; honor this config's thread budget.
   parallel::SetCpuThreads(config_.cpu_threads);
@@ -199,35 +235,33 @@ void PreparedModel::Calibrate(const std::vector<Tensor>& inputs) {
   // Precompute the requantization multipliers the kernels would otherwise
   // derive per call. On a degenerate multiplier the cache entry is left
   // empty, so kernels recompute per call and the quantization Error surfaces
-  // at Run() — the same error site as the uncached path.
-  if (config_.scratch_arena) {
-    for (const Node& n : graph().nodes()) {
-      if (!IsParameterized(n.desc.kind)) {
-        continue;
-      }
-      PreparedWeights& pw = weights_.at(n.id);
-      const float in_scale =
-          act_qp_[static_cast<size_t>(EffectiveQuantSource(graph(), n.inputs[0]))].scale;
-      const float out_scale = act_qp_[static_cast<size_t>(n.id)].scale;
-      try {
-        if (!pw.per_channel.channels.empty()) {
-          pw.requant_per_channel.resize(pw.per_channel.channels.size());
-          for (size_t oc = 0; oc < pw.per_channel.channels.size(); ++oc) {
-            pw.requant_per_channel[oc] =
-                ComputeRequantScale(static_cast<double>(in_scale) *
-                                    static_cast<double>(pw.per_channel.channels[oc].scale) /
-                                    static_cast<double>(out_scale));
-          }
-        } else {
-          pw.requant = ComputeRequantScale(static_cast<double>(in_scale) *
-                                           static_cast<double>(pw.filters.scale()) /
-                                           static_cast<double>(out_scale));
-          pw.has_requant = true;
+  // at Run().
+  for (const Node& n : graph().nodes()) {
+    if (!IsParameterized(n.desc.kind)) {
+      continue;
+    }
+    PreparedWeights& pw = weights_.at(n.id);
+    const float in_scale =
+        act_qp_[static_cast<size_t>(EffectiveQuantSource(graph(), n.inputs[0]))].scale;
+    const float out_scale = act_qp_[static_cast<size_t>(n.id)].scale;
+    try {
+      if (!pw.per_channel.channels.empty()) {
+        pw.requant_per_channel.resize(pw.per_channel.channels.size());
+        for (size_t oc = 0; oc < pw.per_channel.channels.size(); ++oc) {
+          pw.requant_per_channel[oc] =
+              ComputeRequantScale(static_cast<double>(in_scale) *
+                                  static_cast<double>(pw.per_channel.channels[oc].scale) /
+                                  static_cast<double>(out_scale));
         }
-      } catch (const Error&) {
-        pw.requant_per_channel.clear();
-        pw.has_requant = false;
+      } else {
+        pw.requant = ComputeRequantScale(static_cast<double>(in_scale) *
+                                         static_cast<double>(pw.filters.scale()) /
+                                         static_cast<double>(out_scale));
+        pw.has_requant = true;
       }
+    } catch (const Error&) {
+      pw.requant_per_channel.clear();
+      pw.has_requant = false;
     }
   }
   calibrated_ = true;
@@ -326,15 +360,18 @@ const RequantScale* PreparedModel::PerChannelRequantPtr(int id) const {
 }
 
 Tensor PreparedModel::PrepareInput(const Tensor& f32_input) const {
-  assert(f32_input.dtype() == DType::kF32);
+  RequireWeights(*model_, "PrepareInput");
+  CheckInput(graph(), f32_input, "PrepareInput");
   switch (config_.storage) {
     case DType::kF32:
       return f32_input;
     case DType::kF16:
       return ToF16Tensor(f32_input);
     case DType::kQUInt8: {
-      assert(calibrated_);
-      // The graph input is node 0 by construction.
+      if (!calibrated_) {
+        throw Error(ErrorCode::kInvalidArgument,
+                    "PrepareInput: QUInt8 storage needs Calibrate() first");
+      }
       return QuantizeTensor(f32_input, act_qp_[0]);
     }
     case DType::kInt32:

@@ -47,6 +47,12 @@ class PreparedModel {
   // functional QUInt8 execution. One input = the paper's naive
   // post-training quantization; many inputs = the calibrated ("fake quant
   // retrained") setting of Section 4.3.
+  //
+  // Throws Error(kInvalidArgument) before changing any state when the
+  // model's weights are not materialized, `inputs` is empty, or any input is
+  // not an F32 tensor shaped like the graph input. A later throw
+  // (Error(kQuantization) on a degenerate bias scale) leaves calibrated()
+  // false.
   void Calibrate(const std::vector<Tensor>& inputs);
   bool calibrated() const { return calibrated_; }
 
@@ -78,14 +84,17 @@ class PreparedModel {
   // Storage dtype of node `id`'s activation (softmax outputs are always F32).
   DType ActivationDType(int id) const;
 
-  // Converts a user-supplied F32 input into the network storage dtype.
+  // Converts a user-supplied F32 input into the network storage dtype. Every
+  // functional path (executor, analyzer, perfbench, src/net) enters here.
+  // Throws Error(kInvalidArgument) when the weights are not materialized,
+  // the input is not F32 or not shaped like the graph input (node 0), or
+  // QUInt8 storage is not calibrated yet. The checks allocate nothing.
   Tensor PrepareInput(const Tensor& f32_input) const;
 
   // --- Prepare-time kernel caches (DESIGN.md Section 9) ---------------------
   // All return nullptr when the cache is absent (non-QUInt8 storage,
-  // config().scratch_arena off, pre-Calibrate, or degenerate quant params);
-  // kernels then fall back to per-call computation. Pointers index absolute
-  // output channels.
+  // pre-Calibrate, or degenerate quant params); kernels then fall back to
+  // per-call computation. Pointers index absolute output channels.
   const Half* FiltersF16Ptr(int id) const;
   const Half* BiasF16Ptr(int id) const;
   const int32_t* FilterRowSumPtr(int id) const;
@@ -107,7 +116,7 @@ class PreparedModel {
     Tensor bias_i32;  // QUInt8 mode, filled by Calibrate().
     PerChannelParams per_channel;  // QUInt8 + per_channel_weights mode.
 
-    // Prepare-time caches (QUInt8 storage + config.scratch_arena only).
+    // Prepare-time caches (QUInt8 storage only, except the packed panels).
     std::vector<Half> filters_f16;   // Dequantized filters, F16 (GPU path).
     std::vector<Half> bias_f16;      // F32 bias converted to F16 (GPU path).
     std::vector<int32_t> filter_rowsum;  // Raw uint8 row sums per out channel.
@@ -122,7 +131,7 @@ class PreparedModel {
   };
 
   // Fills the calibration-independent caches (row sums, F16 operands) of one
-  // quantized layer. Called from the constructor when config.scratch_arena.
+  // quantized layer. Called from the constructor.
   void BuildWeightCaches(const Node& n, PreparedWeights& pw) const;
 
   const Model* model_;

@@ -33,10 +33,10 @@ struct AccessRange {
 // channel-domain loops, zero-based row/element index otherwise) writes
 // [base + i * stride_bytes, base + i * stride_bytes + iter_bytes) for every
 // base in `bases`. Kernels that rerun the same loop per batch (or write the
-// same rows of several batches per iteration, like Winograd) list one base
-// per instance. The analyzer enumerates parallel::ChunkBounds over the
-// domain to prove chunk write sets pairwise disjoint (A701) and their union
-// equal to the declared writes (A702).
+// same rows of several batches per iteration, like depthwise conv and
+// pooling) list one base per instance. The analyzer enumerates
+// parallel::ChunkBounds over the domain to prove chunk write sets pairwise
+// disjoint (A701) and their union equal to the declared writes (A702).
 struct LoopSpec {
   int64_t begin = 0;
   int64_t end = 0;

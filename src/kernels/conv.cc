@@ -48,10 +48,9 @@ int64_t RowTileGrain(double ops_per_row) {
 }
 
 // Scratch buffer: arena-backed when an arena is supplied (no heap
-// allocation, contents uninitialized), per-call heap vector otherwise (the
-// legacy path kept behind ExecConfig::scratch_arena). Every user below fully
-// overwrites the buffer before reading it, so the uninitialized arena
-// contents are never observed.
+// allocation, contents uninitialized), per-call heap vector otherwise (see
+// ConvAux::scratch). Every user below fully overwrites the buffer before
+// reading it, so the uninitialized arena contents are never observed.
 template <typename T>
 class ScratchVec {
  public:

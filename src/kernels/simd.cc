@@ -230,22 +230,11 @@ void F16Scalar(const Half* const* a_rows, int64_t a_kstride, const Half* b,
   }
 }
 
-void WinoMaddScalar(const float* u, const float* v, float* m, int64_t count) {
-  for (int64_t c = 0; c < count; ++c) {
-    const float* uc = u + c * 16;
-    const float* vc = v + c * 16;
-    for (int64_t j = 0; j < 16; ++j) {
-      m[j] += uc[j] * vc[j];
-    }
-  }
-}
-
 }  // namespace detail
 
 const GemmMicroKernels& GemmMicroKernelsFor(Isa isa) {
   static const GemmMicroKernels scalar = {Isa::kScalar, detail::Qu8Scalar,
-                                          detail::F32Scalar, detail::F16Scalar,
-                                          detail::WinoMaddScalar};
+                                          detail::F32Scalar, detail::F16Scalar};
   if (!Supported(isa)) {
     return scalar;  // Never hand out a table the CPU cannot execute.
   }

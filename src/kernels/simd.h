@@ -70,11 +70,6 @@ struct GemmMicroKernels {
   // round-to-nearest-even; see DESIGN.md Section 13).
   void (*f16)(const Half* const* a_rows, int64_t a_kstride, const Half* b,
               int64_t ldb, int64_t rows, int64_t jn, int64_t k, Half* const* c_rows);
-
-  // Winograd transform-domain MAC: m[j] += sum_b u[b*16 + j] * v[b*16 + j]
-  // for j in [0, 16). Per-lane ascending-b single-add order, no FMA — bit
-  // identical to the scalar c-loop in winograd.cc.
-  void (*wino_madd)(const float* u, const float* v, float* m, int64_t count);
 };
 
 // The table for ActiveIsa(). Resolve once per kernel call (cheap), before

@@ -332,27 +332,10 @@ void F16Avx2(const Half* const* a_rows, int64_t a_kstride, const Half* b,
   }
 }
 
-// ---- Winograd transform-domain MAC -----------------------------------------
-
-void WinoMaddAvx2(const float* u, const float* v, float* m, int64_t count) {
-  __m256 m0 = _mm256_loadu_ps(m);
-  __m256 m1 = _mm256_loadu_ps(m + 8);
-  for (int64_t c = 0; c < count; ++c) {
-    const float* uc = u + c * 16;
-    const float* vc = v + c * 16;
-    m0 = _mm256_add_ps(m0, _mm256_mul_ps(_mm256_loadu_ps(uc), _mm256_loadu_ps(vc)));
-    m1 = _mm256_add_ps(
-        m1, _mm256_mul_ps(_mm256_loadu_ps(uc + 8), _mm256_loadu_ps(vc + 8)));
-  }
-  _mm256_storeu_ps(m, m0);
-  _mm256_storeu_ps(m + 8, m1);
-}
-
 }  // namespace
 
 const GemmMicroKernels* Avx2Table() {
-  static const GemmMicroKernels table = {Isa::kAvx2, Qu8Avx2, F32Avx2, F16Avx2,
-                                         WinoMaddAvx2};
+  static const GemmMicroKernels table = {Isa::kAvx2, Qu8Avx2, F32Avx2, F16Avx2};
   return &table;
 }
 

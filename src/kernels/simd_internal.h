@@ -16,7 +16,6 @@ void F32Scalar(const float* const* a_rows, int64_t a_kstride, const float* b,
                int64_t ldb, int64_t rows, int64_t jn, int64_t k, float* const* c_rows);
 void F16Scalar(const Half* const* a_rows, int64_t a_kstride, const Half* b,
                int64_t ldb, int64_t rows, int64_t jn, int64_t k, Half* const* c_rows);
-void WinoMaddScalar(const float* u, const float* v, float* m, int64_t count);
 
 // Per-ISA dispatch tables. Each returns nullptr when the variant is not
 // compiled into this binary (the TU is only added on matching

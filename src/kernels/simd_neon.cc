@@ -164,30 +164,10 @@ void F32Neon(const float* const* a_rows, int64_t a_kstride, const float* b,
   }
 }
 
-void WinoMaddNeon(const float* u, const float* v, float* m, int64_t count) {
-  float32x4_t m0 = vld1q_f32(m);
-  float32x4_t m1 = vld1q_f32(m + 4);
-  float32x4_t m2 = vld1q_f32(m + 8);
-  float32x4_t m3 = vld1q_f32(m + 12);
-  for (int64_t c = 0; c < count; ++c) {
-    const float* uc = u + c * 16;
-    const float* vc = v + c * 16;
-    m0 = vaddq_f32(m0, vmulq_f32(vld1q_f32(uc), vld1q_f32(vc)));
-    m1 = vaddq_f32(m1, vmulq_f32(vld1q_f32(uc + 4), vld1q_f32(vc + 4)));
-    m2 = vaddq_f32(m2, vmulq_f32(vld1q_f32(uc + 8), vld1q_f32(vc + 8)));
-    m3 = vaddq_f32(m3, vmulq_f32(vld1q_f32(uc + 12), vld1q_f32(vc + 12)));
-  }
-  vst1q_f32(m, m0);
-  vst1q_f32(m + 4, m1);
-  vst1q_f32(m + 8, m2);
-  vst1q_f32(m + 12, m3);
-}
-
 }  // namespace
 
 const GemmMicroKernels* NeonTable() {
-  static const GemmMicroKernels table = {Isa::kNeon, Qu8Neon, F32Neon, F16Scalar,
-                                         WinoMaddNeon};
+  static const GemmMicroKernels table = {Isa::kNeon, Qu8Neon, F32Neon, F16Scalar};
   return &table;
 }
 

@@ -211,30 +211,10 @@ void F32Sse41(const float* const* a_rows, int64_t a_kstride, const float* b,
   }
 }
 
-void WinoMaddSse41(const float* u, const float* v, float* m, int64_t count) {
-  __m128 m0 = _mm_loadu_ps(m);
-  __m128 m1 = _mm_loadu_ps(m + 4);
-  __m128 m2 = _mm_loadu_ps(m + 8);
-  __m128 m3 = _mm_loadu_ps(m + 12);
-  for (int64_t c = 0; c < count; ++c) {
-    const float* uc = u + c * 16;
-    const float* vc = v + c * 16;
-    m0 = _mm_add_ps(m0, _mm_mul_ps(_mm_loadu_ps(uc), _mm_loadu_ps(vc)));
-    m1 = _mm_add_ps(m1, _mm_mul_ps(_mm_loadu_ps(uc + 4), _mm_loadu_ps(vc + 4)));
-    m2 = _mm_add_ps(m2, _mm_mul_ps(_mm_loadu_ps(uc + 8), _mm_loadu_ps(vc + 8)));
-    m3 = _mm_add_ps(m3, _mm_mul_ps(_mm_loadu_ps(uc + 12), _mm_loadu_ps(vc + 12)));
-  }
-  _mm_storeu_ps(m, m0);
-  _mm_storeu_ps(m + 4, m1);
-  _mm_storeu_ps(m + 8, m2);
-  _mm_storeu_ps(m + 12, m3);
-}
-
 }  // namespace
 
 const GemmMicroKernels* Sse41Table() {
-  static const GemmMicroKernels table = {Isa::kSse41, Qu8Sse41, F32Sse41,
-                                         F16Scalar, WinoMaddSse41};
+  static const GemmMicroKernels table = {Isa::kSse41, Qu8Sse41, F32Sse41, F16Scalar};
   return &table;
 }
 

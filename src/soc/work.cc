@@ -1,7 +1,5 @@
 #include "soc/work.h"
 
-#include <cassert>
-
 namespace ulayer {
 
 LayerWork ComputeWork(const Graph& g, const Node& node, DType storage, int64_t c_begin,
@@ -97,24 +95,6 @@ LayerWork ComputeWork(const Graph& g, const Node& node, DType storage, int64_t c
       return w;
     }
   }
-  return w;
-}
-
-LayerWork WinogradConvWork(const Graph& g, const Node& node, DType storage, int64_t c_begin,
-                           int64_t c_end) {
-  assert(node.desc.kind == LayerKind::kConv);
-  assert(node.desc.conv.kernel_h == 3 && node.desc.conv.stride_h == 1);
-  LayerWork w = ComputeWork(g, node, storage, c_begin, c_end);
-  // 16 transform-domain multiplies replace the 36 direct MACs of each 2x2
-  // output tile, per (oc, ic) pair.
-  w.macs *= 16.0 / 36.0;
-  // Transform overhead: the input transform touches each input element ~4x
-  // (tiles overlap by 2) and the inverse transform each output element once;
-  // count them as extra traffic in the storage dtype.
-  const double esize = static_cast<double>(DTypeSize(storage));
-  const Shape& in = g.node(node.inputs[0]).out_shape;
-  w.input_bytes += static_cast<double>(in.NumElements()) * esize;  // V tiles.
-  w.output_bytes += w.output_bytes;                                // M tiles.
   return w;
 }
 

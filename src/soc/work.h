@@ -31,10 +31,4 @@ LayerWork ComputeWork(const Graph& g, const Node& node, DType storage, int64_t c
 // Total MACs of the full network (for reporting).
 double TotalMacs(const Graph& g);
 
-// Work model of the Winograd F(2x2,3x3) lowering for an eligible conv node
-// slice (3x3, stride 1): 16/36 of the direct MACs, plus transform traffic.
-// Pairs with kernels/winograd.h; used by bench/winograd_ablation.
-LayerWork WinogradConvWork(const Graph& g, const Node& node, DType storage, int64_t c_begin = 0,
-                           int64_t c_end = -1);
-
 }  // namespace ulayer

@@ -6,10 +6,8 @@
 //  - Zero steady-state heap allocations inside warmed kernels (global
 //    operator new counting, single-threaded so the serial ParallelFor path
 //    makes the count deterministic).
-//  - Zoo regression: the legacy per-call-allocation executor path
-//    (ExecConfig::scratch_arena = false) and the arena path must produce
-//    byte-identical outputs across storage dtypes, plan kinds, and thread
-//    counts.
+//  - Golden digests: zoo outputs across storage dtypes, plan kinds, and
+//    thread counts must hash to a recorded table.
 #include "memory/arena.h"
 
 #include <atomic>
@@ -17,6 +15,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <new>
 #include <utility>
 #include <vector>
@@ -32,6 +31,7 @@
 #include "models/model.h"
 #include "parallel/thread_pool.h"
 #include "quant/quantize.h"
+#include "serve/request.h"
 #include "tensor/rng.h"
 
 // --- Global allocation counting ---------------------------------------------
@@ -436,7 +436,7 @@ TEST(AllocationCountTest, WarmedConvKernelsAllocateNothing) {
       << "dry-run sizing must cover the kernels' scratch requests";
 }
 
-// --- Zoo regression: legacy path vs arena path -------------------------------
+// --- Golden digests ----------------------------------------------------------
 
 Tensor RunFixedPlan(const Model& m, const ExecConfig& config, const Plan& plan,
                     const std::vector<Tensor>& calib, const Tensor& input) {
@@ -464,74 +464,78 @@ Plan MakeHalfSplitPlan(const Graph& g) {
   return plan;
 }
 
-void ExpectArenaMatchesLegacy(Model m, const Shape& in_shape, const ExecConfig& base_config) {
-  m.MaterializeWeights();
-  std::vector<Tensor> calib;
-  for (int i = 0; i < 2; ++i) {
-    Tensor t(in_shape, DType::kF32);
-    FillUniform(t, 8200 + static_cast<uint64_t>(i), -1.0f, 1.0f);
-    calib.push_back(std::move(t));
-  }
-  Tensor input(in_shape, DType::kF32);
-  FillUniform(input, 8300, -1.0f, 1.0f);
-
-  const std::vector<Plan> plans = {MakeSingleProcessorPlan(m.graph, ProcKind::kCpu),
-                                   MakeSingleProcessorPlan(m.graph, ProcKind::kGpu),
-                                   MakeHalfSplitPlan(m.graph)};
-  for (size_t pi = 0; pi < plans.size(); ++pi) {
-    for (const int threads : {1, 4}) {
-      ExecConfig cfg = base_config;
-      cfg.cpu_threads = threads;
-      cfg.scratch_arena = false;
-      const Tensor legacy = RunFixedPlan(m, cfg, plans[pi], calib, input);
-      cfg.scratch_arena = true;
-      const Tensor arena = RunFixedPlan(m, cfg, plans[pi], calib, input);
-      parallel::SetCpuThreads(0);
-
-      ASSERT_EQ(legacy.dtype(), arena.dtype()) << m.name;
-      ASSERT_EQ(legacy.shape(), arena.shape()) << m.name;
-      const size_t bytes =
-          static_cast<size_t>(legacy.NumElements() * DTypeSize(legacy.dtype()));
-      EXPECT_EQ(std::memcmp(legacy.raw(), arena.raw(), bytes), 0)
-          << m.name << " plan#" << pi << " threads=" << threads
-          << ": arena path output differs from the legacy allocation path";
-    }
-  }
-}
-
-TEST(ArenaRegressionTest, LeNetF32) {
-  ExpectArenaMatchesLegacy(MakeLeNet5(), Shape(1, 1, 28, 28), ExecConfig::AllF32());
-}
-
-TEST(ArenaRegressionTest, LeNetF16) {
-  ExpectArenaMatchesLegacy(MakeLeNet5(), Shape(1, 1, 28, 28), ExecConfig::AllF16());
-}
-
-TEST(ArenaRegressionTest, LeNetAllQU8) {
-  ExpectArenaMatchesLegacy(MakeLeNet5(), Shape(1, 1, 28, 28), ExecConfig::AllQU8());
-}
-
-TEST(ArenaRegressionTest, LeNetProcessorFriendly) {
-  ExpectArenaMatchesLegacy(MakeLeNet5(), Shape(1, 1, 28, 28),
-                           ExecConfig::ProcessorFriendly());
-}
-
-TEST(ArenaRegressionTest, LeNetPerChannel) {
+ExecConfig PerChannelQU8() {
   ExecConfig cfg = ExecConfig::AllQU8();
   cfg.per_channel_weights = true;
-  ExpectArenaMatchesLegacy(MakeLeNet5(), Shape(1, 1, 28, 28), cfg);
+  return cfg;
 }
 
-TEST(ArenaRegressionTest, SqueezeNetProcessorFriendly) {
-  ExpectArenaMatchesLegacy(MakeSqueezeNetV11(1, 64), Shape(1, 3, 64, 64),
-                           ExecConfig::ProcessorFriendly());
-}
+struct GoldenCase {
+  const char* name;
+  Model (*make_model)();
+  Shape in_shape;
+  ExecConfig config;
+  uint64_t digests[3];  // CPU-only, GPU-only, 50/50 cooperative plan.
+};
 
-TEST(ArenaRegressionTest, MobileNetAllQU8) {
-  // Depthwise layers exercise the per-tensor requant cache and the cached
-  // F16 weights in the depthwise via-F16 kernel.
-  ExpectArenaMatchesLegacy(MakeMobileNetV1(1, 64), Shape(1, 3, 64, 64),
-                           ExecConfig::ProcessorFriendly());
+// FNV-1a-64 of the output bytes of seven model/config cases under three
+// fixed plans. The table was recorded while the executor still had a
+// per-call-allocation path beside the planned-memory path: both produced
+// every entry, at 1 and 4 threads, under the scalar, SSE4.1 and AVX2
+// micro-kernels and in a Debug ASan+UBSan build. Plans agree whenever both
+// processors compute in the same dtype.
+TEST(GoldenDigestTest, ZooOutputsMatchRecordedDigests) {
+  const Shape lenet_in(1, 1, 28, 28);
+  const Shape image64_in(1, 3, 64, 64);
+  const GoldenCase cases[] = {
+      {"lenet5-f32", [] { return MakeLeNet5(); }, lenet_in, ExecConfig::AllF32(),
+       {0x6c2e14a760b9847full, 0x6c2e14a760b9847full, 0x6c2e14a760b9847full}},
+      {"lenet5-f16", [] { return MakeLeNet5(); }, lenet_in, ExecConfig::AllF16(),
+       {0x0e503a441051f008ull, 0x0e503a441051f008ull, 0x0e503a441051f008ull}},
+      {"lenet5-qu8", [] { return MakeLeNet5(); }, lenet_in, ExecConfig::AllQU8(),
+       {0xe9821d63c51c5fbdull, 0xe9821d63c51c5fbdull, 0xe9821d63c51c5fbdull}},
+      {"lenet5-pf", [] { return MakeLeNet5(); }, lenet_in, ExecConfig::ProcessorFriendly(),
+       {0xe9821d63c51c5fbdull, 0x1c1a85caba423bffull, 0x40e982773c39c171ull}},
+      {"lenet5-qu8-per-channel", [] { return MakeLeNet5(); }, lenet_in, PerChannelQU8(),
+       {0x927ad86b1a1f8e35ull, 0x927ad86b1a1f8e35ull, 0x927ad86b1a1f8e35ull}},
+      {"squeezenet64-pf", [] { return MakeSqueezeNetV11(1, 64); }, image64_in,
+       ExecConfig::ProcessorFriendly(),
+       {0x57fc492fb8d5af32ull, 0x0e9295613c2624fcull, 0x2cfa15c7271d4214ull}},
+      // Depthwise layers exercise the per-tensor requant cache and the cached
+      // F16 weights in the depthwise via-F16 kernel.
+      {"mobilenet64-pf", [] { return MakeMobileNetV1(1, 64); }, image64_in,
+       ExecConfig::ProcessorFriendly(),
+       {0xacb238702df70b07ull, 0x78160307abf01255ull, 0x9d857113245dbf06ull}},
+  };
+  for (const GoldenCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    Model m = c.make_model();
+    m.MaterializeWeights();
+    std::vector<Tensor> calib;
+    for (int i = 0; i < 2; ++i) {
+      Tensor t(c.in_shape, DType::kF32);
+      FillUniform(t, 8200 + static_cast<uint64_t>(i), -1.0f, 1.0f);
+      calib.push_back(std::move(t));
+    }
+    Tensor input(c.in_shape, DType::kF32);
+    FillUniform(input, 8300, -1.0f, 1.0f);
+
+    const Plan plans[] = {MakeSingleProcessorPlan(m.graph, ProcKind::kCpu),
+                          MakeSingleProcessorPlan(m.graph, ProcKind::kGpu),
+                          MakeHalfSplitPlan(m.graph)};
+    for (size_t pi = 0; pi < std::size(plans); ++pi) {
+      for (const int threads : {1, 4}) {
+        ExecConfig cfg = c.config;
+        cfg.cpu_threads = threads;
+        const Tensor out = RunFixedPlan(m, cfg, plans[pi], calib, input);
+        parallel::SetCpuThreads(0);
+        const uint64_t digest =
+            serve::Fnv1a64(out.raw(), static_cast<size_t>(out.SizeBytes()));
+        EXPECT_EQ(digest, c.digests[pi])
+            << "plan#" << pi << " threads=" << threads << ": got 0x" << std::hex << digest;
+      }
+    }
+  }
 }
 
 // Repeated runs on one executor must keep reusing the same plan and pool
@@ -602,7 +606,6 @@ TEST(ArenaTest, ArenaStaysCoherentAfterMidRunThrow) {
   FillUniform(input, 6400, -1.0f, 1.0f);
 
   ExecConfig cfg = ExecConfig::AllF32();
-  cfg.scratch_arena = true;
   cfg.fault_cpu_fallback = false;  // Let the fault escape mid-graph.
   cfg.fault_max_retries = 0;
   PreparedModel pm(m, cfg);

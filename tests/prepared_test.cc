@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/baselines.h"
+#include "common/error.h"
 #include "core/executor.h"
 #include "core/partitioner.h"
 #include "core/predictor.h"
@@ -231,26 +233,6 @@ TEST(PreparedTest, PackedPanelsMatchOnTheFlyPacking) {
   }
 }
 
-// With the scratch arena disabled the constructor must skip every cache and
-// the accessors all report misses (kernels fall back to per-call work).
-TEST(PreparedTest, CachesAbsentWithoutScratchArena) {
-  Model m = MakeLeNet5();
-  m.MaterializeWeights();
-  ExecConfig cfg = ExecConfig::ProcessorFriendly();
-  cfg.scratch_arena = false;
-  const PreparedModel pm(m, cfg);
-  for (const Node& n : m.graph.nodes()) {
-    if (n.desc.kind != LayerKind::kConv && n.desc.kind != LayerKind::kFullyConnected) {
-      continue;
-    }
-    EXPECT_EQ(pm.PackedFiltersQU8Ptr(n.id), nullptr) << n.desc.name;
-    EXPECT_EQ(pm.PackedFiltersF16Ptr(n.id), nullptr) << n.desc.name;
-    EXPECT_EQ(pm.FiltersF16Ptr(n.id), nullptr) << n.desc.name;
-    EXPECT_EQ(pm.FilterRowSumPtr(n.id), nullptr) << n.desc.name;
-    EXPECT_EQ(pm.RequantPtr(n.id), nullptr) << n.desc.name;
-  }
-}
-
 TEST(PreparedTest, PrepareInputQuantizesWithInputParams) {
   Model m = MakeLeNet5();
   m.MaterializeWeights();
@@ -261,6 +243,111 @@ TEST(PreparedTest, PrepareInputQuantizesWithInputParams) {
   EXPECT_EQ(q.dtype(), DType::kQUInt8);
   const Tensor back = DequantizeTensor(q);
   EXPECT_LT(MaxAbsDiff(back, inputs[0]), q.scale());
+}
+
+// --- Functional-input checks ---------------------------------------------------
+// PrepareInput and Calibrate are the entry of every functional run; a bad
+// input must surface as Error(kInvalidArgument), never as an out-of-bounds
+// kernel read or a silently wrong output.
+
+template <typename F>
+void ExpectInvalidArgument(F&& f) {
+  try {
+    f();
+    ADD_FAILURE() << "expected Error(kInvalidArgument)";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+  }
+}
+
+// Runs `input` functionally through an executor on a one-processor plan.
+void RunFunctional(const PreparedModel& pm, const Tensor& input) {
+  Executor ex(pm, MakeExynos7420());
+  ex.Run(MakeSingleProcessorPlan(pm.graph(), ProcKind::kCpu), &input);
+}
+
+TEST(InputCheckTest, LargerSpatialInputIsRejected) {
+  Model m = MakeLeNet5();
+  m.MaterializeWeights();
+  const auto big = MakeInputs(Shape(1, 1, 40, 40), 1, 5);
+  const PreparedModel f32(m, ExecConfig::AllF32());
+  ExpectInvalidArgument([&] { RunFunctional(f32, big[0]); });
+  PreparedModel pf(m, ExecConfig::ProcessorFriendly());
+  ExpectInvalidArgument([&] { pf.Calibrate(big); });
+}
+
+TEST(InputCheckTest, WrongChannelCountIsRejected) {
+  Model m = MakeLeNet5();
+  m.MaterializeWeights();
+  const auto rgb = MakeInputs(Shape(1, 3, 28, 28), 1, 5);
+  const PreparedModel f32(m, ExecConfig::AllF32());
+  ExpectInvalidArgument([&] { RunFunctional(f32, rgb[0]); });
+  PreparedModel pf(m, ExecConfig::ProcessorFriendly());
+  ExpectInvalidArgument([&] { pf.Calibrate(rgb); });
+}
+
+TEST(InputCheckTest, NonF32InputIsRejected) {
+  Model m = MakeLeNet5();
+  m.MaterializeWeights();
+  const auto inputs = MakeInputs(Shape(1, 1, 28, 28), 2, 5);
+  PreparedModel pf(m, ExecConfig::ProcessorFriendly());
+  pf.Calibrate(inputs);
+  const Tensor f16 = ToF16Tensor(inputs[0]);
+  ExpectInvalidArgument([&] { RunFunctional(pf, f16); });
+  ExpectInvalidArgument([&] { pf.Calibrate({inputs[0], f16}); });
+}
+
+TEST(InputCheckTest, QuantizedRunBeforeCalibrateIsRejected) {
+  Model m = MakeLeNet5();
+  m.MaterializeWeights();
+  const auto inputs = MakeInputs(Shape(1, 1, 28, 28), 1, 5);
+  for (const ExecConfig& cfg : {ExecConfig::AllQU8(), ExecConfig::ProcessorFriendly()}) {
+    const PreparedModel pm(m, cfg);
+    ExpectInvalidArgument([&] { RunFunctional(pm, inputs[0]); });
+  }
+}
+
+TEST(InputCheckTest, EmptyCalibrationSetIsRejected) {
+  Model m = MakeLeNet5();
+  m.MaterializeWeights();
+  PreparedModel pm(m, ExecConfig::ProcessorFriendly());
+  ExpectInvalidArgument([&] { pm.Calibrate({}); });
+}
+
+TEST(InputCheckTest, UnmaterializedWeightsAreRejected) {
+  const Model m = MakeLeNet5();  // Graph only: simulate-only use.
+  const auto inputs = MakeInputs(Shape(1, 1, 28, 28), 1, 5);
+  PreparedModel pf(m, ExecConfig::ProcessorFriendly());
+  ExpectInvalidArgument([&] { pf.Calibrate(inputs); });
+  const PreparedModel f32(m, ExecConfig::AllF32());
+  ExpectInvalidArgument([&] { RunFunctional(f32, inputs[0]); });
+}
+
+// Every input is checked before Calibrate changes anything: a bad input
+// anywhere in the set leaves the model uncalibrated and its activation
+// parameters untouched, and a rejected re-calibration keeps the old one.
+TEST(InputCheckTest, FailedCalibrateLeavesStateUnchanged) {
+  Model m = MakeLeNet5();
+  m.MaterializeWeights();
+  PreparedModel pm(m, ExecConfig::ProcessorFriendly());
+  const std::vector<QuantParams> before = pm.activation_params();
+  std::vector<Tensor> set = MakeInputs(Shape(1, 1, 28, 28), 2, 5);
+  set.push_back(MakeInputs(Shape(1, 1, 40, 40), 1, 9)[0]);
+  ExpectInvalidArgument([&] { pm.Calibrate(set); });
+  EXPECT_FALSE(pm.calibrated());
+  ASSERT_EQ(pm.activation_params().size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(pm.activation_params()[i].scale, before[i].scale) << i;
+    EXPECT_EQ(pm.activation_params()[i].zero_point, before[i].zero_point) << i;
+  }
+
+  set.pop_back();
+  pm.Calibrate(set);
+  ASSERT_TRUE(pm.calibrated());
+  const QuantParams calibrated_input = pm.ActivationParams(0);
+  ExpectInvalidArgument([&] { pm.Calibrate({}); });
+  EXPECT_TRUE(pm.calibrated());
+  EXPECT_EQ(pm.ActivationParams(0).scale, calibrated_input.scale);
 }
 
 // The thread-safety contract (core/prepared.h): after construction and
