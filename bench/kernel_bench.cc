@@ -2,8 +2,9 @@
 // (DESIGN.md Section 9).
 //
 // Measures GemmQU8 / GemmF32 and the QUInt8 conv paths at representative
-// layer shapes (AlexNet conv2, VGG-16 conv3_1, GoogLeNet inception 3a) on a
-// single thread, comparing byte-for-byte-identical "legacy" replicas of the
+// layer shapes (AlexNet conv2 and fc7, VGG-16 conv3_1, GoogLeNet inception
+// 3a and 4a, ResNet-18 layer3) on a single thread, comparing
+// byte-for-byte-identical "legacy" replicas of the
 // pre-optimization kernels (embedded below, copied from the previous
 // implementation) against the current kernels fed the prepare-time caches
 // and a scratch arena. Reports ns/op, effective GB/s and speedup, writes a
@@ -221,13 +222,22 @@ struct ConvCase {
   const char* name;
   int64_t ic, hw, oc;
   int kernel, pad;
+  // FC layer: row-major filters, as PreparedModel keeps them (it never packs
+  // FC filters), so n == 1 takes the GEMV slots.
+  bool fc;
+  // Also time the via-F16 (emulated GPU) conv path.
+  bool via_f16;
 };
 
-// Representative layers from the paper's workload set.
+// Representative layers from the paper's workload set. The last three put
+// the remainder blocks and the GEMV slots on the clock.
 constexpr ConvCase kCases[] = {
-    {"alexnet_conv2", 96, 31, 256, 5, 0},      // k=2400, spatial=729
-    {"vgg16_conv3_1", 128, 56, 256, 3, 1},     // k=1152, spatial=3136
-    {"googlenet_3a_3x3", 96, 28, 128, 3, 1},   // k=864,  spatial=784
+    {"alexnet_conv2", 96, 31, 256, 5, 0, false, false},         // k=2400, spatial=729
+    {"vgg16_conv3_1", 128, 56, 256, 3, 1, false, false},        // k=1152, spatial=3136
+    {"googlenet_3a_3x3", 96, 28, 128, 3, 1, false, true},       // k=864,  spatial=784
+    {"googlenet_4a_3x3", 96, 14, 208, 3, 1, false, true},       // spatial=196: ragged
+    {"resnet18_layer3_3x3", 256, 14, 256, 3, 1, false, false},  // k=2304: paired-k QU8
+    {"alexnet_fc7", 4096, 1, 4096, 1, 0, true, true},           // n=1: the GEMVs
 };
 
 // Quantized conv operands plus every prepare-time cache, built the same way
@@ -240,7 +250,7 @@ struct Operands {
   std::vector<int32_t> rowsum;
   std::vector<Half> w16, b16;
   std::vector<uint8_t> w_packed_q;  // Packed filter panels (kernels/pack.h),
-  std::vector<Half> w_packed_16;    // as PreparedModel caches them.
+  std::vector<Half> w_packed_16;    // as PreparedModel caches them; empty for FC.
   int64_t m, n, k;
 
   explicit Operands(const ConvCase& c, uint64_t seed) {
@@ -285,11 +295,16 @@ struct Operands {
     for (int64_t i = 0; i < bias_f32.NumElements(); ++i) {
       b16[static_cast<size_t>(i)] = Half(bias_f32.Data<float>()[i]);
     }
-    w_packed_q.resize(static_cast<size_t>(PackedPanelElems(m, k)));
-    PackRowPanels(w_q.Data<uint8_t>(), m, k, w_packed_q.data());
-    w_packed_16.resize(static_cast<size_t>(PackedPanelElems(m, k)));
-    PackRowPanels(w16.data(), m, k, w_packed_16.data());
+    if (!c.fc) {
+      w_packed_q.resize(static_cast<size_t>(PackedPanelElems(m, k)));
+      PackRowPanels(w_q.Data<uint8_t>(), m, k, w_packed_q.data());
+      w_packed_16.resize(static_cast<size_t>(PackedPanelElems(m, k)));
+      PackRowPanels(w16.data(), m, k, w_packed_16.data());
+    }
   }
+
+  const uint8_t* PackedQ() const { return w_packed_q.empty() ? nullptr : w_packed_q.data(); }
+  const Half* Packed16() const { return w_packed_16.empty() ? nullptr : w_packed_16.data(); }
 
   Tensor MakeOut() const {
     const Shape& is = in_q.shape();
@@ -304,7 +319,7 @@ struct Operands {
     aux.scratch = arena;
     aux.requant = &rs;
     aux.filter_rowsum = rowsum.data();
-    aux.filters_packed_qu8 = w_packed_q.data();
+    aux.filters_packed_qu8 = PackedQ();
     return aux;
   }
 
@@ -313,7 +328,7 @@ struct Operands {
     aux.scratch = arena;
     aux.filters_f16 = w16.data();
     aux.bias_f16 = b16.data();
-    aux.filters_packed_f16 = w_packed_16.data();
+    aux.filters_packed_f16 = Packed16();
     return aux;
   }
 };
@@ -428,7 +443,7 @@ int main(int argc, char** argv) {
       const double new_ns = BestNsPerCall(
           [&] {
             GemmQU8(a, a_zp, b.data(), b_zp, c_new.data(), c_zp, ops.rs, m, n, k, bias, true,
-                    ops.rowsum.data(), ops.w_packed_q.data());
+                    ops.rowsum.data(), ops.PackedQ());
           },
           iters, trials);
       const bool same = std::memcmp(c_legacy.data(), c_new.data(), c_new.size()) == 0;
@@ -445,14 +460,17 @@ int main(int argc, char** argv) {
       FillUniform(bf, 32, -1.0f, 1.0f);
       std::memcpy(a.data(), af.Data<float>(), a.size() * sizeof(float));
       std::memcpy(b.data(), bf.Data<float>(), b.size() * sizeof(float));
-      std::vector<float> a_packed(static_cast<size_t>(PackedPanelElems(m, k)));
-      PackRowPanels(a.data(), m, k, a_packed.data());
+      std::vector<float> a_packed(c.fc ? 0 : static_cast<size_t>(PackedPanelElems(m, k)));
+      if (!c.fc) {
+        PackRowPanels(a.data(), m, k, a_packed.data());
+      }
       const double legacy_ns = BestNsPerCall(
           [&] { legacy::GemmF32(a.data(), b.data(), c_legacy.data(), m, n, k, nullptr, true); },
           iters, trials);
       const double new_ns = BestNsPerCall(
           [&] {
-            GemmF32(a.data(), b.data(), c_new.data(), m, n, k, nullptr, true, a_packed.data());
+            GemmF32(a.data(), b.data(), c_new.data(), m, n, k, nullptr, true,
+                    c.fc ? nullptr : a_packed.data());
           },
           iters, trials);
       const bool same =
@@ -485,12 +503,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Conv2DQU8ViaF16 (the GPU-emulation path): per-call F16 operand
-  // conversion vs prepare-time caches. One shape; software-F16 arithmetic
-  // dominates, so the interesting signal is the removed conversion overhead.
-  {
-    const ConvCase& c = kCases[2];  // googlenet_3a_3x3
-    const Operands ops(c, 2000);
+  // --- Conv2DQU8ViaF16 (the GPU-emulation path): the legacy replica's
+  // per-call F16 operand conversion and software-Half GEMM vs prepare-time
+  // caches and the F16C tiles / GEMV.
+  for (const ConvCase& c : kCases) {
+    if (!c.via_f16) {
+      continue;
+    }
+    const Operands ops(c, 2000 + static_cast<uint64_t>(&c - kCases));
     Tensor out_legacy = ops.MakeOut();
     Tensor out_new = ops.MakeOut();
     memory::ScratchArena arena(static_cast<size_t>(

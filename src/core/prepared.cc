@@ -38,10 +38,10 @@ int EffectiveQuantSource(const Graph& g, int id) {
 }
 
 // Panel packing applies to dense convolutions only. FC layers are GEMV
-// (spatial = 1: the micro-kernel column loop degenerates, so panels buy no
-// reuse) and their classifier matrices dominate parameter count — doubling
-// them in memory for nothing is a bad trade. Depthwise convs never reach the
-// GEMM.
+// (spatial = 1: the GEMV micro-kernels stream row-major filters, so panels
+// buy no reuse) and their classifier matrices dominate parameter count —
+// doubling them in memory for nothing is a bad trade. Depthwise convs never
+// reach the GEMM.
 bool ShouldPackFilters(const Node& n) { return n.desc.kind == LayerKind::kConv; }
 
 template <typename T>

@@ -264,8 +264,13 @@ void Conv2DQU8PerChannel(const Tensor& input, const Tensor& filters,
               for (int64_t r = 0; r < rows; ++r) {
                 std::fill(acc[r], acc[r] + jn, b0[r]);
               }
-              mk.qu8(w_rows, w_kstride, w_zp, cols.data() + jb, spatial, rows, jn,
-                     k, &acc[0][0], kColTileQ);
+              if (spatial == 1 && packed == nullptr) {  // FC: the GEMV slot.
+                mk.qu8_gemv(w_rows[0], k, w_zp, cols.data(), rows, k, &acc[0][0],
+                            kColTileQ);
+              } else {
+                mk.qu8(w_rows, w_kstride, w_zp, cols.data() + jb, spatial, rows, jn,
+                       k, &acc[0][0], kColTileQ);
+              }
               for (int64_t r = 0; r < rows; ++r) {
                 const int64_t oc = oc0 + r;
                 const int32_t corr = in_zp * srow[r];
@@ -307,39 +312,36 @@ void Conv2DQU8ViaF16(const Tensor& input, const Tensor& filters, const Tensor& b
   const int64_t spatial = int64_t{out_h} * out_w;
 
   // F16 operands: the PreparedModel cache when available (built once at
-  // prepare time), otherwise dequantized into staging buffers per call —
-  // exactly the values a GPU kernel would produce per load. The packed
-  // panels hold the same cached Half values in tile order, so when they
-  // apply the per-call dequantization is skipped entirely.
+  // prepare time), otherwise dequantized per call — exactly the values a GPU
+  // kernel would produce per load. The packed panels hold the same cached
+  // Half values in tile order, so when they apply the per-call
+  // dequantization is skipped entirely. Every PreparedModel run has the
+  // caches, so the per-call fallback serves only direct kernel calls without
+  // them (the kernel tests): it takes heap vectors, and the arena reserves
+  // nothing for it.
   const Half* w_packed = PackedSlice(aux.filters_packed_f16, oc_begin, k);
   const Half* w16 = nullptr;
-  const bool need_w16_staging = aux.filters_f16 == nullptr && w_packed == nullptr;
-  ScratchVec<Half> w16_own(
-      aux.scratch,
-      need_w16_staging ? static_cast<size_t>((oc_end - oc_begin) * k) : 0);
+  std::vector<Half> w16_own;
   if (aux.filters_f16 != nullptr) {
     w16 = aux.filters_f16 + oc_begin * k;
-  } else if (need_w16_staging) {
+  } else if (w_packed == nullptr) {
     const uint8_t* wq = filters.Data<uint8_t>() + oc_begin * k;
-    const size_t wn = static_cast<size_t>((oc_end - oc_begin) * k);
-    for (size_t i = 0; i < wn; ++i) {
-      w16_own.data()[i] = Half(w_qp.Dequantize(wq[i]));
+    w16_own.resize(static_cast<size_t>((oc_end - oc_begin) * k));
+    for (size_t i = 0; i < w16_own.size(); ++i) {
+      w16_own[i] = Half(w_qp.Dequantize(wq[i]));
     }
     w16 = w16_own.data();
   }
-  // No staging buffer at all when the layer has no bias.
   const Half* bias16 = nullptr;
-  ScratchVec<Half> bias16_own(
-      aux.scratch, (bias.empty() || aux.bias_f16 != nullptr)
-                       ? 0
-                       : static_cast<size_t>(oc_end - oc_begin));
+  std::vector<Half> bias16_own;
   if (!bias.empty()) {
     if (aux.bias_f16 != nullptr) {
       bias16 = aux.bias_f16 + oc_begin;
     } else {
       const float* bp = bias.Data<float>() + oc_begin;
-      for (int64_t i = 0; i < oc_end - oc_begin; ++i) {
-        bias16_own.data()[i] = Half(bp[i]);
+      bias16_own.resize(static_cast<size_t>(oc_end - oc_begin));
+      for (size_t i = 0; i < bias16_own.size(); ++i) {
+        bias16_own[i] = Half(bp[i]);
       }
       bias16 = bias16_own.data();
     }
@@ -618,17 +620,14 @@ int64_t Conv2DScratchBytes(DType storage, DType compute, const Shape& input_shap
       return AlignUp64(k * spatial * int64_t{sizeof(Half)});
     case DType::kQUInt8: {
       if (compute == DType::kF16) {
-        // img16 + cols + out16, plus the w16/bias16 fallbacks for callers
-        // without the prepare-time cache. With staged_cols the image and
-        // column buffers come from ConvAux::staged_cols instead.
+        // img16 + cols + out16. With staged_cols the image and column buffers
+        // come from ConvAux::staged_cols instead.
         const int64_t img_elems = input_shape.c * input_shape.h * input_shape.w;
         const int64_t per_call = staged_cols
                                      ? 0
                                      : AlignUp64(img_elems * int64_t{sizeof(Half)}) +
                                            AlignUp64(k * spatial * int64_t{sizeof(Half)});
-        return per_call + AlignUp64(oc * spatial * int64_t{sizeof(Half)}) +
-               AlignUp64(oc * k * int64_t{sizeof(Half)}) +
-               AlignUp64(oc * int64_t{sizeof(Half)});
+        return per_call + AlignUp64(oc * spatial * int64_t{sizeof(Half)});
       }
       return AlignUp64(k * spatial);
     }

@@ -44,7 +44,8 @@ struct ConvAux {
 
   // Via-F16 paths: dequantized filter values Half(w_scale * (w - w_zp)) in
   // filter layout, and Half-converted F32 bias, cached at prepare time
-  // instead of being rebuilt on every call.
+  // instead of being rebuilt on every call. Without them the kernel converts
+  // into per-call heap vectors, which the arena sizing does not cover.
   const Half* filters_f16 = nullptr;
   const Half* bias_f16 = nullptr;
 

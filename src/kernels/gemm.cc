@@ -153,11 +153,32 @@ void GemmF16(const Half* a, const Half* b, Half* c, int64_t m, int64_t n, int64_
   // Half accumulator, so per element the op chain is c = RN16(c + RN16(a*b))
   // over ascending k — exactly the naive register-accumulator sequence, and
   // the F16C variant implements the identical per-step rounding in hardware.
+  //
+  // n == 1 with row-major A (every FC layer) is a GEMV: the whole chunk goes
+  // to the f16_gemv slot, which puts rows in vector lanes (DESIGN.md §13).
   const Half zero(0.0f);
   const simd::GemmMicroKernels& mk = simd::ActiveGemmMicroKernels();
+  const bool gemv = n == 1 && a_packed == nullptr;
+  const auto relu_clamp = [&](Half* p, int64_t count) {
+    for (int64_t j = 0; j < count; ++j) {
+      if (p[j] < zero) {
+        p[j] = zero;
+      }
+    }
+  };
   parallel::ParallelFor(
       0, m, RowTileGrain(static_cast<double>(n) * static_cast<double>(k)),
       [&](int64_t i_begin, int64_t i_end) {
+        if (gemv) {
+          for (int64_t i = i_begin; i < i_end; ++i) {
+            c[i] = bias != nullptr ? bias[i] : zero;
+          }
+          mk.f16_gemv(a + i_begin * k, k, b, i_end - i_begin, k, c + i_begin);
+          if (relu) {
+            relu_clamp(c + i_begin, i_end - i_begin);
+          }
+          return;
+        }
         const Half* a_rows[kRowTile];
         Half* c_rows[kRowTile];
         for (int64_t i0 = i_begin; i0 < i_end; i0 += kRowTile) {
@@ -171,12 +192,7 @@ void GemmF16(const Half* a, const Half* b, Half* c, int64_t m, int64_t n, int64_
           mk.f16(a_rows, a_kstride, b, n, rows, n, k, c_rows);
           if (relu) {
             for (int64_t r = 0; r < rows; ++r) {
-              Half* crow = c_rows[r];
-              for (int64_t j = 0; j < n; ++j) {
-                if (crow[j] < zero) {
-                  crow[j] = zero;
-                }
-              }
+              relu_clamp(c_rows[r], n);
             }
           }
         }
@@ -192,7 +208,10 @@ void GemmQU8(const uint8_t* a, int32_t a_zp, const uint8_t* b, int32_t b_zp, uin
   // because the b_zp correction is applied only after the k loop.
   // Plan installs reject larger k (Q303, VerifyAccumulatorBounds).
   assert(k <= INT32_MAX / (255 * 255) && "int32 accumulator would overflow");
+  // n == 1 with row-major A (every FC layer) is a GEMV: each row tile goes to
+  // the qu8_gemv slot, which puts k in vector lanes (DESIGN.md §13).
   const simd::GemmMicroKernels& mk = simd::ActiveGemmMicroKernels();
+  const bool gemv = n == 1 && a_packed == nullptr;
   parallel::ParallelFor(
       0, m, RowTileGrain(static_cast<double>(n) * static_cast<double>(k)),
       [&](int64_t i_begin, int64_t i_end) {
@@ -223,8 +242,12 @@ void GemmQU8(const uint8_t* a, int32_t a_zp, const uint8_t* b, int32_t b_zp, uin
               const int32_t b0 = bias != nullptr ? bias[i0 + r] : 0;
               std::fill(acc[r], acc[r] + jn, b0);
             }
-            mk.qu8(a_rows, a_kstride, zps, b + jb, n, rows, jn, k, &acc[0][0],
-                   kColTileQ);
+            if (gemv) {
+              mk.qu8_gemv(a_rows[0], k, zps, b, rows, k, &acc[0][0], kColTileQ);
+            } else {
+              mk.qu8(a_rows, a_kstride, zps, b + jb, n, rows, jn, k, &acc[0][0],
+                     kColTileQ);
+            }
             for (int64_t r = 0; r < rows; ++r) {
               const int32_t corr = b_zp * srow[r];
               uint8_t* crow = c + (i0 + r) * n + jb;

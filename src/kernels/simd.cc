@@ -230,11 +230,36 @@ void F16Scalar(const Half* const* a_rows, int64_t a_kstride, const Half* b,
   }
 }
 
+void Qu8GemvScalar(const uint8_t* a, int64_t lda, const int32_t* a_zp, const uint8_t* x,
+                   int64_t rows, int64_t k, int32_t* acc, int64_t acc_ld) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const uint8_t* arow = a + r * lda;
+    int32_t sum = 0;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      sum += (static_cast<int32_t>(arow[kk]) - a_zp[r]) * static_cast<int32_t>(x[kk]);
+    }
+    acc[r * acc_ld] += sum;
+  }
+}
+
+void F16GemvScalar(const Half* a, int64_t lda, const Half* x, int64_t rows, int64_t k,
+                   Half* y) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const Half* arow = a + r * lda;
+    Half c = y[r];
+    for (int64_t kk = 0; kk < k; ++kk) {
+      c += arow[kk] * x[kk];
+    }
+    y[r] = c;
+  }
+}
+
 }  // namespace detail
 
 const GemmMicroKernels& GemmMicroKernelsFor(Isa isa) {
-  static const GemmMicroKernels scalar = {Isa::kScalar, detail::Qu8Scalar,
-                                          detail::F32Scalar, detail::F16Scalar};
+  static const GemmMicroKernels scalar = {Isa::kScalar,         detail::Qu8Scalar,
+                                          detail::F32Scalar,     detail::F16Scalar,
+                                          detail::Qu8GemvScalar, detail::F16GemvScalar};
   if (!Supported(isa)) {
     return scalar;  // Never hand out a table the CPU cannot execute.
   }

@@ -48,6 +48,12 @@ inline constexpr int64_t kRowTile = 4;
 //    starts at b + kk*ldb. `jn` columns are produced, over `k` accumulation
 //    steps.
 //  - Accumulators are read-modify-write: callers pre-fill with bias.
+//  - Every variant reads no byte of A past row `rows` or element k-1, no
+//    byte of B past column `jn`, and writes nothing past column `jn`.
+//
+// The two GEMV slots cover n == 1 with row-major A (every FC layer): A row r
+// starts at a + r*lda, `x` holds the k values of the single B column, and
+// `rows` is unbounded (the variants group rows internally).
 struct GemmMicroKernels {
   Isa isa = Isa::kScalar;
 
@@ -70,6 +76,16 @@ struct GemmMicroKernels {
   // round-to-nearest-even; see DESIGN.md Section 13).
   void (*f16)(const Half* const* a_rows, int64_t a_kstride, const Half* b,
               int64_t ldb, int64_t rows, int64_t jn, int64_t k, Half* const* c_rows);
+
+  // QU8 GEMV: acc[r*acc_ld] += sum_kk (a[r*lda + kk] - a_zp[r]) * x[kk], the
+  // qu8 contract at jn == 1.
+  void (*qu8_gemv)(const uint8_t* a, int64_t lda, const int32_t* a_zp, const uint8_t* x,
+                   int64_t rows, int64_t k, int32_t* acc, int64_t acc_ld);
+
+  // F16 GEMV: per row, y[r] = RN16(y[r] + RN16(a[r*lda + kk] * x[kk])) over
+  // ascending kk, the f16 contract at jn == 1.
+  void (*f16_gemv)(const Half* a, int64_t lda, const Half* x, int64_t rows, int64_t k,
+                   Half* y);
 };
 
 // The table for ActiveIsa(). Resolve once per kernel call (cheap), before

@@ -2,7 +2,7 @@
 // tile uses separate vmulq/vaddq (never vmlaq/vfmaq, which fuse) so results
 // stay bit-identical to the scalar reference. There is no NEON F16 tile: the
 // per-step-rounded Half chain stays on the scalar software path, which is
-// the semantic contract.
+// the semantic contract. Both GEMV slots use the scalar references too.
 #if defined(__aarch64__)
 
 #include <arm_neon.h>
@@ -167,7 +167,8 @@ void F32Neon(const float* const* a_rows, int64_t a_kstride, const float* b,
 }  // namespace
 
 const GemmMicroKernels* NeonTable() {
-  static const GemmMicroKernels table = {Isa::kNeon, Qu8Neon, F32Neon, F16Scalar};
+  static const GemmMicroKernels table = {
+      Isa::kNeon, Qu8Neon, F32Neon, F16Scalar, Qu8GemvScalar, F16GemvScalar};
   return &table;
 }
 

@@ -1,7 +1,8 @@
 // SSE4.1 micro-kernels. Compiled with -msse4.1 -ffp-contract=off on x86 (the
 // table degrades to a nullptr stub anywhere the flag is absent). SSE4.1 has
 // no F16C, so the F16 tile reuses the scalar software-Half reference (which
-// is the semantic contract anyway).
+// is the semantic contract anyway), and both GEMV slots use the scalar
+// references.
 #if defined(__SSE4_1__)
 
 #include <smmintrin.h>
@@ -214,7 +215,8 @@ void F32Sse41(const float* const* a_rows, int64_t a_kstride, const float* b,
 }  // namespace
 
 const GemmMicroKernels* Sse41Table() {
-  static const GemmMicroKernels table = {Isa::kSse41, Qu8Sse41, F32Sse41, F16Scalar};
+  static const GemmMicroKernels table = {
+      Isa::kSse41, Qu8Sse41, F32Sse41, F16Scalar, Qu8GemvScalar, F16GemvScalar};
   return &table;
 }
 

@@ -411,6 +411,65 @@ TEST(ConvSimdDispatchTest, ViaF16ByteIdenticalAcrossIsas) {
   }
 }
 
+// An FC layer as the zoo models it: a conv whose kernel covers the whole
+// input (k = 64*4*4 = 1024) with a 1x1 output, oc = 1000, at batch 2. The
+// conv kernels send it to the GEMV slots. Whole and as the slices [0, 250) +
+// [250, 1000), whose boundary falls mid-tile, every ISA must reproduce the
+// scalar ISA's bytes on the per-tensor, per-channel and via-F16 paths.
+TEST(ConvSimdDispatchTest, FullyConnectedByteIdenticalAcrossIsas) {
+  Conv2DParams p;
+  p.kernel_h = p.kernel_w = 4;
+  p.relu = true;
+  Tensor in(Shape(2, 64, 4, 4), DType::kF32);
+  Tensor w(Shape(1000, 64, 4, 4), DType::kF32);
+  Tensor bias_f32(Shape(1, 1000, 1, 1), DType::kF32);
+  FillUniform(in, 61, -1.0f, 1.0f);
+  FillUniform(w, 62, -0.05f, 0.05f);
+  FillUniform(bias_f32, 63, -0.1f, 0.1f);
+  const Tensor in_q = QuantizeTensor(in, ChooseQuantParams(-1.0f, 1.0f));
+  const Tensor w_q = QuantizeTensor(w, ChooseQuantParams(-0.05f, 0.05f));
+  PerChannelParams pc;
+  const Tensor w_pc = QuantizeFiltersPerChannel(w, pc);
+  Tensor bias_i32(bias_f32.shape(), DType::kInt32);
+  for (int64_t i = 0; i < bias_f32.NumElements(); ++i) {
+    bias_i32.Data<int32_t>()[i] = static_cast<int32_t>(
+        std::lround(bias_f32.Data<float>()[i] / (in_q.scale() * w_q.scale())));
+  }
+  const QuantParams out_qp = ChooseQuantParams(-2.0f, 2.0f);
+  const auto make_out = [&] {
+    Tensor out(Shape(2, 1000, 1, 1), DType::kQUInt8);
+    out.set_quant_params(out_qp.scale, out_qp.zero_point);
+    return out;
+  };
+  const auto run = [&](int path, int64_t oc_begin, int64_t oc_end, Tensor& out) {
+    if (path == 0) {
+      Conv2DQU8(in_q, w_q, bias_i32, p, out, oc_begin, oc_end);
+    } else if (path == 1) {
+      Conv2DQU8PerChannel(in_q, w_pc, pc, bias_i32, p, out, oc_begin, oc_end);
+    } else {
+      Conv2DQU8ViaF16(in_q, w_q, bias_f32, p, out, oc_begin, oc_end);
+    }
+  };
+  for (int path = 0; path < 3; ++path) {
+    Tensor want = make_out();
+    {
+      const IsaGuard g(simd::Isa::kScalar);
+      run(path, 0, 1000, want);
+    }
+    for (const simd::Isa isa : simd::SupportedIsas()) {
+      const IsaGuard g(isa);
+      Tensor whole = make_out();
+      run(path, 0, 1000, whole);
+      EXPECT_TRUE(SameBytes(want, whole)) << simd::IsaName(isa) << " path " << path;
+      Tensor sliced = make_out();
+      run(path, 0, 250, sliced);
+      run(path, 250, 1000, sliced);
+      EXPECT_TRUE(SameBytes(want, sliced)) << simd::IsaName(isa) << " path " << path
+                                           << " slices";
+    }
+  }
+}
+
 TEST(ConvQU8ViaF16Test, StagedColsMatchUnstagedExactly) {
   // The cooperative staging path (dequantize + im2col hoisted out of the
   // per-slice calls) must not change a single output byte, for aligned and

@@ -1,5 +1,6 @@
 #include "kernels/gemm.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -209,9 +210,11 @@ INSTANTIATE_TEST_SUITE_P(Sizes, GemmQU8Property,
 // ---- SIMD dispatch matrix (DESIGN.md Section 13) ----------------------------
 // Every ISA variant must reproduce the scalar reference exactly: the QU8 and
 // F32 outputs byte-identical, the F16 output bit-identical per element. The
-// shapes cover full 4-row tiles, partial tiles, vector-width tails, scalar
-// column tails, single elements and empty ranges; the packed-panel variant
-// must match the row-major one on every ISA too.
+// shapes cover full 4-row tiles, partial tiles, vector-width column
+// remainders, GEMVs (n == 1 with row-major A), single elements and empty
+// ranges; the packed-panel variant must match the row-major one on every ISA
+// too. Every operand is allocated at its exact size, so an ASan build catches
+// a remainder or GEMV that touches a byte past column n or row m.
 
 class IsaGuard {
  public:
@@ -225,17 +228,34 @@ struct GemmShape {
   int64_t m, n, k;
 };
 
-const GemmShape kDispatchShapes[] = {
-    {1, 1, 1},     // single element
-    {3, 5, 7},     // partial row tile + scalar column tail
-    {4, 16, 32},   // exact tiles
-    {5, 257, 40},  // 4+1 rows, 16-wide blocks + 8-block + 1-col tail
-    {8, 260, 33},  // vector tail columns, odd k
-    {0, 8, 8},     // empty m
-    {4, 8, 0},     // empty k (bias passthrough)
-    {7, 129, 65},  // everything misaligned
-    {64, 48, 96},  // several chunks worth of rows
-};
+// The fixed cases, then the grid where the remainder blocks and the GEMV
+// slots engage: ragged n around the 8- and 16-wide blocks, m around the 4-row
+// tiles and 8-row GEMV groups, odd and even k around the k-pair and 8-k
+// GEMV chunks, plus one classifier-sized GEMV.
+std::vector<GemmShape> DispatchShapes() {
+  std::vector<GemmShape> shapes = {
+      {1, 1, 1},     // single element
+      {3, 5, 7},     // partial row tile + column remainder
+      {4, 16, 32},   // exact tiles
+      {5, 257, 40},  // 4+1 rows, 16-wide blocks + 8-block + 1-col remainder
+      {8, 260, 33},  // remainder columns, odd k
+      {0, 8, 8},     // empty m
+      {4, 8, 0},     // empty k (bias passthrough)
+      {7, 129, 65},  // everything misaligned
+      {64, 48, 96},  // several chunks worth of rows
+      {64, 1, 4096},  // GEMV with a long k
+      {7, 1, 17},     // GEMV: a 3-row tile, a partial 8-row group, k tail
+      {46, 1, 33},    // GEMV: 4 groups + 1 + a 6-row group, a 2-row tile
+  };
+  for (const int64_t n : {1, 2, 7, 9, 15, 17}) {
+    for (const int64_t m : {1, 8, 9, 33, 64}) {
+      for (const int64_t k : {1, 2, 3, 9, 300}) {
+        shapes.push_back({m, n, k});
+      }
+    }
+  }
+  return shapes;
+}
 
 template <typename T>
 bool BytesEqual(const std::vector<T>& a, const std::vector<T>& b) {
@@ -250,7 +270,7 @@ TEST(SimdDispatchTest, SupportedIsasEndsWithScalar) {
 }
 
 TEST(SimdDispatchTest, F32ByteIdenticalAcrossIsas) {
-  for (const GemmShape& s : kDispatchShapes) {
+  for (const GemmShape& s : DispatchShapes()) {
     auto a = RandomVec(static_cast<size_t>(s.m * s.k), 11);
     // Sprinkle exact zeros so the per-(row, k) skip path fires on some rows
     // while others stay zero-free (the prescanned fast path).
@@ -283,7 +303,7 @@ TEST(SimdDispatchTest, F32ByteIdenticalAcrossIsas) {
 }
 
 TEST(SimdDispatchTest, F16BitIdenticalAcrossIsas) {
-  for (const GemmShape& s : kDispatchShapes) {
+  for (const GemmShape& s : DispatchShapes()) {
     const auto af = RandomVec(static_cast<size_t>(s.m * s.k), 21);
     const auto bf = RandomVec(static_cast<size_t>(s.k * s.n), 22);
     const auto biasf = RandomVec(static_cast<size_t>(s.m), 23);
@@ -316,7 +336,7 @@ TEST(SimdDispatchTest, F16BitIdenticalAcrossIsas) {
 TEST(SimdDispatchTest, QU8ByteIdenticalAcrossIsas) {
   const QuantParams a_qp = ChooseQuantParams(-1.0f, 1.0f);
   const QuantParams b_qp = ChooseQuantParams(-1.0f, 1.0f);
-  for (const GemmShape& s : kDispatchShapes) {
+  for (const GemmShape& s : DispatchShapes()) {
     const auto a_real = RandomVec(static_cast<size_t>(s.m * s.k), 31);
     const auto b_real = RandomVec(static_cast<size_t>(s.k * s.n), 32);
     std::vector<uint8_t> a(a_real.size()), b(b_real.size());
@@ -350,6 +370,121 @@ TEST(SimdDispatchTest, QU8ByteIdenticalAcrossIsas) {
               ap.empty() ? nullptr : ap.data());
       EXPECT_TRUE(BytesEqual(want, got_packed))
           << simd::IsaName(isa) << " packed m=" << s.m << " n=" << s.n << " k=" << s.k;
+    }
+  }
+}
+
+// F16 edge values. The tiny palette (subnormal inputs among them) gives
+// subnormal products and sums and signed zeros; the huge one overflows to
+// +-inf and, where infinities of both signs meet, to NaN. NaN payloads are
+// not part of the contract, so NaN compares by class; every other element
+// compares by bits.
+bool SameHalf(Half want, Half got) {
+  const bool want_nan = std::isnan(want.ToFloat());
+  const bool got_nan = std::isnan(got.ToFloat());
+  return want_nan || got_nan ? want_nan == got_nan : want.bits() == got.bits();
+}
+
+TEST(SimdDispatchTest, F16EdgeValuesBitIdenticalAcrossIsas) {
+  const std::vector<float> palettes[] = {
+      {0.0f, -0.0f, 0.0078125f, -0.00390625f, 0.000244140625f, -0.000244140625f,
+       0.0000152587890625f, -0.0000017881393f, 0.333f},
+      {0.0f, -0.0f, 1.0f, -2.0f, 255.0f, -300.0f, 60000.0f, -60000.0f}};
+  const GemmShape shapes[] = {{9, 17, 9},   {8, 7, 3}, {9, 9, 1},   {13, 1, 9},
+                              {33, 1, 300}, {1, 2, 2}, {5, 257, 40}, {64, 1, 4096}};
+  for (const std::vector<float>& palette : palettes) {
+    uint64_t seed = 91;
+    const auto pick = [&]() {
+      seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+      return Half(palette[(seed >> 33) % palette.size()]);
+    };
+    for (const GemmShape& s : shapes) {
+      std::vector<Half> a(static_cast<size_t>(s.m * s.k)), b(static_cast<size_t>(s.k * s.n));
+      std::vector<Half> bias(static_cast<size_t>(s.m));
+      for (Half& v : a) v = pick();
+      for (Half& v : b) v = pick();
+      for (Half& v : bias) v = pick();
+      std::vector<Half> ap(static_cast<size_t>(PackedPanelElems(s.m, s.k)));
+      PackRowPanels(a.data(), s.m, s.k, ap.data());
+      for (const bool relu : {false, true}) {
+        std::vector<Half> want(static_cast<size_t>(s.m * s.n));
+        {
+          const IsaGuard g(simd::Isa::kScalar);
+          GemmF16(a.data(), b.data(), want.data(), s.m, s.n, s.k, bias.data(), relu);
+        }
+        for (const simd::Isa isa : simd::SupportedIsas()) {
+          const IsaGuard g(isa);
+          for (const bool packed : {false, true}) {
+            std::vector<Half> got(want.size(), Half(-1.0f));
+            GemmF16(a.data(), b.data(), got.data(), s.m, s.n, s.k, bias.data(), relu,
+                    packed ? ap.data() : nullptr);
+            for (size_t i = 0; i < want.size(); ++i) {
+              ASSERT_TRUE(SameHalf(want[i], got[i]))
+                  << simd::IsaName(isa) << (packed ? " packed" : "") << " m=" << s.m
+                  << " n=" << s.n << " k=" << s.k << " relu=" << relu << " i=" << i
+                  << ": want 0x" << std::hex << want[i].bits() << " got 0x"
+                  << got[i].bits();
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The QU8 slots at the int32 accumulator, before requantization can round a
+// difference away: zero points 0 and 255 drive a - zp to +-255 in the int16
+// lanes of the paired-k tile and the GEMV. A, B and acc are sized exactly
+// (ldb = jn, acc_ld = jn).
+TEST(SimdDispatchTest, QU8AccumulatorsIdenticalAcrossIsasAtExtremeZeroPoints) {
+  const GemmShape shapes[] = {{4, 17, 9},   {3, 7, 300},  {4, 33, 2},  {2, 1, 1},
+                              {4, 16, 3},   {1, 9, 4096}, {33, 1, 300}, {9, 1, 17},
+                              {4, 23, 513}, {3, 1, 513}};
+  for (const GemmShape& s : shapes) {
+    std::vector<uint8_t> a(static_cast<size_t>(s.m * s.k)), b(static_cast<size_t>(s.k * s.n));
+    uint64_t st = 7 + static_cast<uint64_t>(s.m * 1000 + s.n * 10 + s.k);
+    for (uint8_t& v : a) {
+      st = st * 6364136223846793005ull + 1442695040888963407ull;
+      v = static_cast<uint8_t>(st >> 56);
+    }
+    for (uint8_t& v : b) {
+      st = st * 6364136223846793005ull + 1442695040888963407ull;
+      v = static_cast<uint8_t>(st >> 56);
+    }
+    // Extremes in every row, so both zero points reach |a - zp| = 255.
+    for (int64_t i = 0; i < s.m; ++i) {
+      a[static_cast<size_t>(i * s.k)] = 0;
+      a[static_cast<size_t>(i * s.k + s.k - 1)] = 255;
+    }
+    for (const int32_t zp : {0, 255}) {
+      const std::vector<int32_t> zps(static_cast<size_t>(s.m), zp);
+      const auto run = [&](const simd::GemmMicroKernels& mk, bool gemv) {
+        std::vector<int32_t> acc(static_cast<size_t>(s.m * s.n));
+        for (size_t i = 0; i < acc.size(); ++i) acc[i] = static_cast<int32_t>(i % 13) - 6;
+        if (gemv) {
+          mk.qu8_gemv(a.data(), s.k, zps.data(), b.data(), s.m, s.k, acc.data(), s.n);
+          return acc;
+        }
+        for (int64_t i0 = 0; i0 < s.m; i0 += simd::kRowTile) {
+          const int64_t rows = std::min(simd::kRowTile, s.m - i0);
+          const uint8_t* a_rows[simd::kRowTile];
+          for (int64_t r = 0; r < rows; ++r) a_rows[r] = a.data() + (i0 + r) * s.k;
+          mk.qu8(a_rows, 1, zps.data(), b.data(), s.n, rows, s.n, s.k, acc.data() + i0 * s.n,
+                 s.n);
+        }
+        return acc;
+      };
+      const std::vector<int32_t> want = run(simd::GemmMicroKernelsFor(simd::Isa::kScalar), false);
+      for (const simd::Isa isa : simd::SupportedIsas()) {
+        const simd::GemmMicroKernels& mk = simd::GemmMicroKernelsFor(isa);
+        EXPECT_EQ(want, run(mk, false))
+            << simd::IsaName(isa) << " qu8 zp=" << zp << " m=" << s.m << " n=" << s.n
+            << " k=" << s.k;
+        if (s.n == 1) {
+          EXPECT_EQ(want, run(mk, true))
+              << simd::IsaName(isa) << " qu8_gemv zp=" << zp << " m=" << s.m << " k=" << s.k;
+        }
+      }
     }
   }
 }
