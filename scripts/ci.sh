@@ -14,13 +14,8 @@
 # BENCH_serving.json under ASan, plus a cross-thread-count determinism diff
 # of the ulayer_verify --serve-smoke batch/completion logs), an observability
 # stage (traced runs exported as Chrome trace JSON, checked against the T4xx
-# trace invariants, metrics written to
-# BENCH_trace.json), a distributed-inference stage (net tests under both
-# sanitizers, ulayer_verify --net-smoke clean and under the committed
-# scripts/ci_net_faults.spec with the output digest diffed byte-identical
-# across node counts, thread budgets and sanitizer builds, plus
-# net_bench --quick regenerating BENCH_net.json), an adaptation-loop stage
-# (adapt_test under ASan and TSan, the committed scripts/ci_adapt.spec and
+# trace invariants, metrics written to BENCH_trace.json), an adaptation-loop
+# stage (adapt_test under ASan and TSan, the committed scripts/ci_adapt.spec and
 # scripts/ci_adapt_severe.spec throttle ramps driven through ulayer_verify
 # --adapt with the output diffed byte-identical across CPU thread budgets,
 # and adapt_bench --quick regenerating BENCH_adapt.json), a clang-format
@@ -45,17 +40,17 @@ done
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-echo "==> [1/13] warnings-as-errors build + tier-1 tests"
+echo "==> [1/12] warnings-as-errors build + tier-1 tests"
 cmake -B build-werror -S . -DULAYER_WERROR=ON >/dev/null
 cmake --build build-werror -j "$JOBS"
 ctest --test-dir build-werror --output-on-failure -j "$JOBS"
 
-echo "==> [2/13] kernel benchmark smoke (legacy-vs-optimized byte identity)"
+echo "==> [2/12] kernel benchmark smoke (legacy-vs-optimized byte identity)"
 # Fails if any optimized kernel's output differs from the embedded legacy
 # replica; --quick keeps it to one iteration per case.
 ./build-werror/bench/kernel_bench --quick --out BENCH_kernels.json
 
-echo "==> [3/13] forced-ISA runs (ULAYER_SIMD=scalar and sse41 dispatch checks)"
+echo "==> [3/12] forced-ISA runs (ULAYER_SIMD=scalar and sse41 dispatch checks)"
 # Re-runs the kernel and analysis suites, and arena_test's golden output
 # digests, with SIMD dispatch forced to the scalar micro-kernels, then
 # repeats the benchmark byte-identity smoke. The QU8/F32 paths are bit-exact
@@ -72,7 +67,7 @@ ULAYER_SIMD=scalar ./build-werror/bench/kernel_bench --quick \
   --out BENCH_kernels_scalar.json >/dev/null
 rm -f BENCH_kernels_scalar.json
 
-echo "==> [4/13] static memory-access analysis: zoo x config x plan matrix"
+echo "==> [4/12] static memory-access analysis: zoo x config x plan matrix"
 # The A5xx/A6xx/A7xx proofs must hold for every model, quantization config
 # and partition strategy; ulayer_verify exits 1 on any A-series diagnostic.
 for model in lenet5 alexnet vgg16 googlenet squeezenet mobilenet resnet18 resnet50 inceptionv3; do
@@ -86,7 +81,7 @@ for model in lenet5 alexnet vgg16 googlenet squeezenet mobilenet resnet18 resnet
 done
 echo "analyzer matrix clean (9 models x 2 configs x 4 plans)"
 if [ "$SKIP_SANITIZE" -eq 0 ]; then
-  echo "==> [5/13] ASan + UBSan build + tests"
+  echo "==> [5/12] ASan + UBSan build + tests"
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DULAYER_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan -j "$JOBS"
@@ -96,7 +91,7 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   ULAYER_CPU_THREADS=4 ASAN_OPTIONS=detect_leaks=1 \
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-  echo "==> [6/13] TSan build + threaded kernel/integration tests"
+  echo "==> [6/12] TSan build + threaded kernel/integration tests"
   # TSan is incompatible with ASan, hence the separate build. Force a
   # multi-thread CPU budget so the pool's worker handoffs actually run, even
   # on single-core CI machines.
@@ -106,7 +101,7 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   ULAYER_CPU_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
     -R 'parallel_test|gemm_test|conv_test|pool_test|elementwise_test|quantize_test|integration_test|executor_test|prepared_test|arena_test|fault_test|analysis_test|serve_test'
 
-  echo "==> [7/13] fault injection under ASan + TSan (scripts/ci_faults.spec)"
+  echo "==> [7/12] fault injection under ASan + TSan (scripts/ci_faults.spec)"
   # fault_test (its specs are embedded in the tests) runs under both
   # sanitizers with a multi-thread CPU budget; the committed deterministic
   # spec is then driven through the sanitizer-built ulayer_verify fault
@@ -125,12 +120,12 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
   diff fault_report_a.txt fault_report_b.txt
   rm -f fault_report_a.txt fault_report_b.txt
 else
-  echo "==> [5/13] sanitizers skipped (--skip-sanitize)"
-  echo "==> [6/13] TSan skipped (--skip-sanitize)"
-  echo "==> [7/13] fault injection skipped (--skip-sanitize)"
+  echo "==> [5/12] sanitizers skipped (--skip-sanitize)"
+  echo "==> [6/12] TSan skipped (--skip-sanitize)"
+  echo "==> [7/12] fault injection skipped (--skip-sanitize)"
 fi
 
-echo "==> [8/13] serving layer: bench smoke + cross-thread determinism"
+echo "==> [8/12] serving layer: bench smoke + cross-thread determinism"
 # The serving bench replays deterministic request traces through the
 # multi-tenant server (batched vs batch=1) and writes BENCH_serving.json;
 # under sanitizers it runs from the ASan build. The --serve-smoke output
@@ -149,7 +144,7 @@ ULAYER_CPU_THREADS=4 ASAN_OPTIONS=detect_leaks=1 "$SERVE_TOOL" --serve-smoke > s
 diff serve_smoke_t1.txt serve_smoke_t4.txt
 rm -f serve_smoke_t1.txt serve_smoke_t4.txt
 
-echo "==> [9/13] observability: trace export + invariant check + metrics"
+echo "==> [9/12] observability: trace export + invariant check + metrics"
 # Traced runs of one zoo model — clean and under the committed fault spec —
 # exported as Chrome trace JSON and checked against the T4xx trace
 # invariants (ulayer_verify exits 1 when they fail); the aggregated metrics
@@ -168,50 +163,7 @@ ASAN_OPTIONS=detect_leaks=1 "$TRACE_TOOL" --model googlenet --config pf \
   --faults "$FAULT_SPEC" --trace-out trace_googlenet_faults.json >/dev/null
 rm -f trace_googlenet.json trace_googlenet_faults.json
 
-echo "==> [10/13] distributed split inference: smoke + digest diff + bench"
-# The net test suites run under both sanitizers; then ulayer_verify
-# --net-smoke executes the same functional model clean and under the
-# committed link-loss + worker-death spec at several node counts and CPU
-# thread budgets (and across the ASan/TSan builds when sanitizers are on).
-# The printed output digest must be byte-identical in every cell: recovery
-# re-routes a lost worker's channel slice but never changes the bytes.
-# ulayer_verify itself exits 1 on any N-series diagnostic.
-NET_FAULT_SPEC="$(grep -v '^#' scripts/ci_net_faults.spec | tr -d '[:space:]')"
-if [ "$SKIP_SANITIZE" -eq 0 ]; then
-  ULAYER_CPU_THREADS=4 ASAN_OPTIONS=detect_leaks=1 \
-    ctest --test-dir build-asan --output-on-failure -R 'net_test|net_wire_test'
-  ULAYER_CPU_THREADS=4 \
-    ctest --test-dir build-tsan --output-on-failure -R 'net_test|net_wire_test'
-  NET_TOOL=./build-asan/tools/ulayer_verify
-  NET_TOOL_ALT=./build-tsan/tools/ulayer_verify
-  NET_BENCH=./build-asan/bench/net_bench
-else
-  NET_TOOL=./build-werror/tools/ulayer_verify
-  NET_TOOL_ALT=./build-werror/tools/ulayer_verify
-  NET_BENCH=./build-werror/bench/net_bench
-fi
-: > net_digests.txt
-for nodes in 1 2 3; do
-  for threads in 1 4; do
-    ULAYER_CPU_THREADS="$threads" ASAN_OPTIONS=detect_leaks=1 \
-      "$NET_TOOL" --net-smoke --net-nodes "$nodes" | grep '^net-smoke .*digest' >> net_digests.txt
-    ULAYER_CPU_THREADS="$threads" ASAN_OPTIONS=detect_leaks=1 \
-      "$NET_TOOL" --net-smoke --net-nodes "$nodes" --faults "$NET_FAULT_SPEC" \
-      | grep '^net-smoke .*digest' >> net_digests.txt
-  done
-done
-ULAYER_CPU_THREADS=4 "$NET_TOOL_ALT" --net-smoke --net-nodes 2 \
-  --faults "$NET_FAULT_SPEC" | grep '^net-smoke .*digest' >> net_digests.txt
-if [ "$(sort -u net_digests.txt | wc -l)" -ne 1 ]; then
-  echo "distributed digest mismatch across node counts / thread budgets:" >&2
-  cat net_digests.txt >&2
-  exit 1
-fi
-echo "net digest identical across $(wc -l < net_digests.txt) runs"
-rm -f net_digests.txt
-ASAN_OPTIONS=detect_leaks=1 "$NET_BENCH" --quick --out BENCH_net.json
-
-echo "==> [11/13] adaptation loop: tests under sanitizers + ramp smoke + bench"
+echo "==> [10/12] adaptation loop: tests under sanitizers + ramp smoke + bench"
 # The closed adaptation loop (drift-fed predictor corrections, health-keyed
 # plan cache, baseline probes for a plan with no GPU work) runs its test
 # suite under ASan and TSan, then drives the committed throttle ramps
@@ -248,24 +200,24 @@ done
 ASAN_OPTIONS=detect_leaks=1 "$ADAPT_BENCH" --quick --out BENCH_adapt.json
 
 if command -v clang-format >/dev/null 2>&1; then
-  echo "==> [12/13] clang-format check (.clang-format, check-only)"
+  echo "==> [11/12] clang-format check (.clang-format, check-only)"
   mapfile -t FMT_FILES < <(git ls-files '*.cc' '*.h')
   clang-format --dry-run -Werror "${FMT_FILES[@]}"
 else
-  echo "==> [12/13] clang-format not installed; skipping format check"
+  echo "==> [11/12] clang-format not installed; skipping format check"
 fi
 
 if [ "$SKIP_TIDY" -eq 0 ]; then
   if command -v clang-tidy >/dev/null 2>&1; then
-    echo "==> [13/13] clang-tidy over src/, bench/ and tools/"
+    echo "==> [12/12] clang-tidy over src/, bench/ and tools/"
     # build-werror exports compile_commands.json (CMAKE_EXPORT_COMPILE_COMMANDS).
     mapfile -t SOURCES < <(git ls-files 'src/*.cc' 'bench/*.cc' 'tools/*.cc')
     clang-tidy -p build-werror --quiet "${SOURCES[@]}"
   else
-    echo "==> [13/13] clang-tidy not installed; skipping lint stage"
+    echo "==> [12/12] clang-tidy not installed; skipping lint stage"
   fi
 else
-  echo "==> [13/13] clang-tidy skipped (--skip-tidy)"
+  echo "==> [12/12] clang-tidy skipped (--skip-tidy)"
 fi
 
 echo "CI pipeline passed."

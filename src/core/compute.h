@@ -19,23 +19,22 @@ namespace ulayer {
 // indexed by node id; producers must already be computed. For kConcat and
 // kSoftmax the range must cover all channels (they are never split).
 //
-// `scratch`, when non-null, supplies kernel staging buffers (im2col, F16
-// conversions) from a prepare-sized arena; the caller must Reset() it
-// between kernel invocations. Null: kernels heap-allocate per call (the
-// src/net coordinator runs this way). The PreparedModel's weight caches are
-// forwarded to the kernels whenever present.
+// `scratch` supplies kernel staging buffers (im2col, F16 conversions) from a
+// prepare-sized arena (NodeScratchBytes); the caller must Reset() it between
+// kernel invocations. The PreparedModel's weight caches are forwarded to the
+// kernels whenever present.
 //
 // `staged_cols`, when non-null, is the via-F16 staged input columns built by
 // StageViaF16Cols for this node — forwarded as ConvAux::staged_cols so the
 // via-F16 conv skips its per-call dequantize + im2col. Only meaningful for
 // dense conv/FC slices whose compute dtype is kF16; ignored otherwise.
 void ComputeNodeSlice(const PreparedModel& pm, int id, ProcKind proc, std::vector<Tensor>& act,
-                      int64_t c0, int64_t c1, memory::ScratchArena* scratch = nullptr,
+                      int64_t c0, int64_t c1, memory::ScratchArena* scratch,
                       const Half* staged_cols = nullptr);
 
 // Convenience: computes the full node on one processor.
 void ComputeNode(const PreparedModel& pm, int id, ProcKind proc, std::vector<Tensor>& act,
-                 memory::ScratchArena* scratch = nullptr);
+                 memory::ScratchArena* scratch);
 
 // Builds the via-F16 staged input columns of node `id` into `arena`
 // (kernels/conv.h Conv2DQU8ViaF16StageCols) — the dequantize + im2col

@@ -85,7 +85,7 @@ class PreparedModel {
   DType ActivationDType(int id) const;
 
   // Converts a user-supplied F32 input into the network storage dtype. Every
-  // functional path (executor, analyzer, perfbench, src/net) enters here.
+  // functional path (executor, analyzer, perfbench) enters here.
   // Throws Error(kInvalidArgument) when the weights are not materialized,
   // the input is not F32 or not shaped like the graph input (node 0), or
   // QUInt8 storage is not calibrated yet. The checks allocate nothing.

@@ -1,5 +1,8 @@
 #include "fault/fault.h"
 
+#include <algorithm>
+#include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -23,15 +26,22 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::string FormatNumber(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
+// Parses all of `text` as a T. False on an empty token, a sign an unsigned T
+// cannot take, trailing characters, or a value out of T's range.
+template <typename T>
+bool ParseWhole(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
-bool IsNetKind(FaultKind kind) {
-  return kind == FaultKind::kDrop || kind == FaultKind::kDelay ||
-         kind == FaultKind::kPartition || kind == FaultKind::kWorkerDeath;
+// Shortest form that parses back to exactly `v`.
+std::string FormatNumber(double v) {
+  char buf[32];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  assert(ec == std::errc());
+  (void)ec;
+  return std::string(buf, ptr);
 }
 
 }  // namespace
@@ -48,14 +58,6 @@ std::string_view FaultKindName(FaultKind kind) {
       return "timeout";
     case FaultKind::kSlowdown:
       return "slow";
-    case FaultKind::kDrop:
-      return "drop";
-    case FaultKind::kDelay:
-      return "delay";
-    case FaultKind::kPartition:
-      return "partition";
-    case FaultKind::kWorkerDeath:
-      return "death";
   }
   return "unknown";
 }
@@ -74,28 +76,9 @@ std::string_view OpKindName(OpKind op) {
   return "unknown";
 }
 
-std::string_view FaultTargetName(FaultTarget target) {
-  switch (target) {
-    case FaultTarget::kDevice:
-      return "device";
-    case FaultTarget::kNetLink:
-      return "net.link";
-    case FaultTarget::kNetWorker:
-      return "net.worker";
-  }
-  return "unknown";
-}
-
 std::string FaultRule::ToString() const {
   std::ostringstream os;
-  if (target == FaultTarget::kDevice) {
-    os << (device == ProcKind::kCpu ? "cpu" : "gpu") << "." << OpKindName(op);
-  } else {
-    os << FaultTargetName(target);
-  }
-  if (net_id >= 0) {
-    os << "@id:" << net_id;
-  }
+  os << (device == ProcKind::kCpu ? "cpu" : "gpu") << "." << OpKindName(op);
   if (node >= 0) {
     os << "@node:" << node;
   }
@@ -113,25 +96,18 @@ std::string FaultRule::ToString() const {
     os << ":" << FormatNumber(timeout_us);
   } else if (kind == FaultKind::kSlowdown) {
     os << ":" << FormatNumber(factor);
-  } else if (kind == FaultKind::kDelay) {
-    os << ":" << FormatNumber(delay_us);
   }
   return os.str();
 }
 
 std::string FaultEvent::ToString() const {
   std::ostringstream os;
-  os << FaultKindName(kind) << " on ";
-  if (target == FaultTarget::kDevice) {
-    os << (device == ProcKind::kCpu ? "cpu" : "gpu") << "." << OpKindName(op);
-  } else {
-    os << FaultTargetName(target) << ":" << net_id;
-  }
-  os << " call " << call;
+  os << FaultKindName(kind) << " on " << (device == ProcKind::kCpu ? "cpu" : "gpu") << "."
+     << OpKindName(op) << " call " << call;
   if (node >= 0) {
     os << " (node " << node << ")";
   }
-  os << " at " << FormatNumber(at_us) << "us";
+  os << " at " << at_us << "us";
   return os.str();
 }
 
@@ -156,10 +132,8 @@ FaultPlan FaultPlan::Parse(const std::string& spec) {
     item = item.substr(b, item.find_last_not_of(" \t\n") - b + 1);
 
     if (item.rfind("seed=", 0) == 0) {
-      try {
-        plan.seed = std::stoull(item.substr(5));
-      } catch (const std::exception&) {
-        ParseFail(spec, "bad seed '" + item + "'");
+      if (!ParseWhole(std::string_view(item).substr(5), plan.seed)) {
+        ParseFail(spec, "bad seed '" + item + "' (want an unsigned 64-bit integer)");
       }
       continue;
     }
@@ -172,42 +146,33 @@ FaultPlan FaultPlan::Parse(const std::string& spec) {
     const std::string effect = item.substr(eq + 1);
     FaultRule rule;
 
-    // Target: device '.' op (or 'net' '.' link|worker), then '@'-separated
-    // selectors.
+    // Target: device '.' op, then '@'-separated selectors.
     const size_t at = lhs.find('@');
     const std::string target = lhs.substr(0, at);
     const size_t dot = target.find('.');
     if (dot == std::string::npos) {
-      ParseFail(spec, "target '" + target + "' wants <device>.<op> or net.<link|worker>");
+      ParseFail(spec, "target '" + target + "' wants <device>.<op>");
     }
     const std::string dev = target.substr(0, dot);
     const std::string op = target.substr(dot + 1);
     if (dev == "cpu" || dev == "gpu") {
-      rule.target = FaultTarget::kDevice;
       rule.device = dev == "cpu" ? ProcKind::kCpu : ProcKind::kGpu;
-      if (op == "kernel") {
-        rule.op = OpKind::kKernel;
-      } else if (op == "map") {
-        rule.op = OpKind::kMap;
-      } else if (op == "unmap") {
-        rule.op = OpKind::kUnmap;
-      } else if (op == "any") {
-        rule.op = OpKind::kAny;
-      } else {
-        ParseFail(spec, "unknown op '" + op + "' (want kernel|map|unmap|any)");
-      }
-    } else if (dev == "net") {
-      if (op == "link") {
-        rule.target = FaultTarget::kNetLink;
-      } else if (op == "worker") {
-        rule.target = FaultTarget::kNetWorker;
-      } else {
-        ParseFail(spec, "unknown net target '" + op + "' (want link|worker)");
-      }
     } else {
-      ParseFail(spec, "unknown device '" + dev + "' (want cpu|gpu|net)");
+      ParseFail(spec, "unknown device '" + dev + "' (want cpu|gpu)");
+    }
+    if (op == "kernel") {
+      rule.op = OpKind::kKernel;
+    } else if (op == "map") {
+      rule.op = OpKind::kMap;
+    } else if (op == "unmap") {
+      rule.op = OpKind::kUnmap;
+    } else if (op == "any") {
+      rule.op = OpKind::kAny;
+    } else {
+      ParseFail(spec, "unknown op '" + op + "' (want kernel|map|unmap|any)");
     }
 
+    unsigned seen = 0;  // One bit per selector key: each may appear once.
     size_t sel_pos = at;
     while (sel_pos != std::string::npos && sel_pos < lhs.size()) {
       size_t next = lhs.find('@', sel_pos + 1);
@@ -218,49 +183,43 @@ FaultPlan FaultPlan::Parse(const std::string& spec) {
         ParseFail(spec, "selector '@" + sel + "' wants '<key>:<value>'");
       }
       const std::string key = sel.substr(0, colon);
-      const std::string value = sel.substr(colon + 1);
-      try {
-        if (key == "node") {
-          rule.node = std::stoi(value);
-        } else if (key == "call") {
-          rule.call = std::stoll(value);
-        } else if (key == "prob") {
-          rule.probability = std::stod(value);
-        } else if (key == "limit") {
-          rule.limit = std::stoll(value);
-        } else if (key == "id") {
-          rule.net_id = std::stoi(value);
-        } else {
-          ParseFail(spec, "unknown selector '" + key + "' (want node|call|prob|limit|id)");
-        }
-      } catch (const Error&) {
-        throw;
-      } catch (const std::exception&) {
-        ParseFail(spec, "selector '@" + sel + "' has a malformed value");
+      const std::string_view value = std::string_view(sel).substr(colon + 1);
+      unsigned bit = 0;
+      bool ok = false;
+      if (key == "node") {
+        bit = 1;
+        ok = ParseWhole(value, rule.node) && rule.node >= 0;
+      } else if (key == "call") {
+        bit = 2;
+        ok = ParseWhole(value, rule.call) && rule.call >= 1;
+      } else if (key == "prob") {
+        bit = 4;
+        ok = ParseWhole(value, rule.probability) && rule.probability > 0.0 &&
+             rule.probability <= 1.0;
+      } else if (key == "limit") {
+        bit = 8;
+        ok = ParseWhole(value, rule.limit) && rule.limit >= 0;
+      } else {
+        ParseFail(spec, "unknown selector '" + key + "' (want node|call|prob|limit)");
+      }
+      if ((seen & bit) != 0) {
+        ParseFail(spec, "selector '@" + key + "' repeats in '" + item + "'");
+      }
+      seen |= bit;
+      if (!ok) {
+        ParseFail(spec, "selector '@" + sel +
+                            "' is malformed or out of domain (node and limit >= 0; call is "
+                            "1-based; prob in (0, 1])");
       }
       sel_pos = next;
-    }
-    if (rule.net_id >= 0 && rule.target == FaultTarget::kDevice) {
-      ParseFail(spec, "selector '@id' in '" + item + "' wants a net.link/net.worker target");
-    }
-    if (rule.node < -1 || rule.net_id < -1 || rule.call == 0 || rule.call < -1 ||
-        rule.limit < -1 ||
-        (rule.probability >= 0.0 &&
-         !(rule.probability > 0.0 && rule.probability <= 1.0))) {
-      ParseFail(spec, "selector out of domain in '" + item +
-                          "' (call is 1-based; prob in (0, 1])");
     }
 
     const size_t ecolon = effect.find(':');
     const std::string ename = effect.substr(0, ecolon);
+    const bool has_arg = ecolon != std::string::npos;
     double earg = 0.0;
-    bool has_arg = ecolon != std::string::npos;
-    if (has_arg) {
-      try {
-        earg = std::stod(effect.substr(ecolon + 1));
-      } catch (const std::exception&) {
-        ParseFail(spec, "effect '" + effect + "' has a malformed argument");
-      }
+    if (has_arg && !ParseWhole(std::string_view(effect).substr(ecolon + 1), earg)) {
+      ParseFail(spec, "effect '" + effect + "' has a malformed argument");
     }
     if (ename == "enqueue-failed") {
       rule.kind = FaultKind::kEnqueueFailed;
@@ -280,37 +239,13 @@ FaultPlan FaultPlan::Parse(const std::string& spec) {
         ParseFail(spec, "slow wants a factor >= 1");
       }
       rule.factor = earg;
-    } else if (ename == "drop") {
-      rule.kind = FaultKind::kDrop;
-    } else if (ename == "delay") {
-      rule.kind = FaultKind::kDelay;
-      if (!has_arg || !(earg >= 0.0) || !std::isfinite(earg)) {
-        ParseFail(spec, "delay wants a non-negative microsecond argument");
-      }
-      rule.delay_us = earg;
-    } else if (ename == "partition") {
-      rule.kind = FaultKind::kPartition;
-    } else if (ename == "death") {
-      rule.kind = FaultKind::kWorkerDeath;
     } else {
       ParseFail(spec, "unknown effect '" + ename +
                           "' (want enqueue-failed|map-failed|device-lost|timeout:<us>|"
-                          "slow:<factor>|drop|delay:<us>|partition|death)");
+                          "slow:<factor>)");
     }
-    // Effects are target-specific: device kinds need a device timeline,
-    // drop/delay/partition a link, death a worker.
-    if (rule.target == FaultTarget::kDevice && IsNetKind(rule.kind)) {
-      ParseFail(spec, "effect '" + ename + "' in '" + item +
-                          "' wants a net.link/net.worker target");
-    }
-    if (rule.target == FaultTarget::kNetLink && rule.kind == FaultKind::kWorkerDeath) {
-      ParseFail(spec, "effect 'death' in '" + item + "' wants a net.worker target");
-    }
-    if (rule.target == FaultTarget::kNetWorker && rule.kind != FaultKind::kWorkerDeath) {
-      ParseFail(spec, "net.worker in '" + item + "' only supports the 'death' effect");
-    }
-    if (rule.target != FaultTarget::kDevice && !IsNetKind(rule.kind)) {
-      ParseFail(spec, "effect '" + ename + "' in '" + item + "' wants a cpu/gpu target");
+    if (has_arg && rule.kind != FaultKind::kTimeout && rule.kind != FaultKind::kSlowdown) {
+      ParseFail(spec, "effect '" + ename + "' in '" + item + "' takes no argument");
     }
     plan.rules.push_back(rule);
   }
@@ -338,24 +273,13 @@ FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) { ResetRun
 
 void FaultInjector::ResetRun() {
   rng_state_ = plan_.seed;
-  // Zero in place rather than clear(): the key set is stable across runs of
-  // one plan, so warmed steady-state runs never allocate map nodes (the
-  // allocation-count contract of tests/arena_test.cc).
-  for (auto& [key, count] : counts_) {
-    (void)key;
-    count = 0;
+  for (auto& per_device : counts_) {
+    std::fill(std::begin(per_device), std::end(per_device), 0);
   }
   fired_.assign(plan_.rules.size(), 0);
   events_.clear();
   slowdowns_ = 0;
   node_ = -1;
-}
-
-int64_t& FaultInjector::CallCount(FaultTarget target, int instance, OpKind op) {
-  const uint32_t key = (static_cast<uint32_t>(target) << 24) |
-                       ((static_cast<uint32_t>(instance) & 0xffffu) << 8) |
-                       static_cast<uint32_t>(op);
-  return counts_[key];  // Zero-initialized on first touch.
 }
 
 double FaultInjector::NextUniform() {
@@ -364,13 +288,13 @@ double FaultInjector::NextUniform() {
 
 std::optional<FaultInjector::Decision> FaultInjector::OnCall(ProcKind device, OpKind op,
                                                              double now_us) {
-  const int dev_instance = device == ProcKind::kCpu ? 0 : 1;
-  const int64_t count = ++CallCount(FaultTarget::kDevice, dev_instance, op);
+  assert(op != OpKind::kAny && "OnCall counts one concrete call class");
+  int64_t* dev_counts = counts_[device == ProcKind::kCpu ? 0 : 1];
+  const int64_t count = ++dev_counts[static_cast<size_t>(op)];
   std::optional<Decision> decision;
   for (size_t i = 0; i < plan_.rules.size(); ++i) {
     const FaultRule& r = plan_.rules[i];
-    if (r.target != FaultTarget::kDevice || r.device != device ||
-        (r.op != OpKind::kAny && r.op != op)) {
+    if (r.device != device || (r.op != OpKind::kAny && r.op != op)) {
       continue;
     }
     if (r.limit >= 0 && fired_[i] >= r.limit) {
@@ -381,11 +305,7 @@ std::optional<FaultInjector::Decision> FaultInjector::OnCall(ProcKind device, Op
     }
     // kAny rules with a @call selector count calls across all op classes.
     const int64_t matched_calls =
-        r.op == OpKind::kAny
-            ? CallCount(FaultTarget::kDevice, dev_instance, OpKind::kKernel) +
-                  CallCount(FaultTarget::kDevice, dev_instance, OpKind::kMap) +
-                  CallCount(FaultTarget::kDevice, dev_instance, OpKind::kUnmap)
-            : count;
+        r.op == OpKind::kAny ? dev_counts[0] + dev_counts[1] + dev_counts[2] : count;
     if (r.call >= 0 && r.call != matched_calls) {
       continue;
     }
@@ -399,13 +319,12 @@ std::optional<FaultInjector::Decision> FaultInjector::OnCall(ProcKind device, Op
       continue;  // First matching rule wins; later rules still draw above.
     }
     ++fired_[i];
-    decision = Decision{r.kind, r.timeout_us, r.factor, r.delay_us};
+    decision = Decision{r.kind, r.timeout_us, r.factor};
     if (r.kind == FaultKind::kSlowdown) {
       ++slowdowns_;
     } else {
       FaultEvent ev;
       ev.kind = r.kind;
-      ev.target = FaultTarget::kDevice;
       ev.device = device;
       ev.op = op;
       ev.node = node_;
@@ -414,54 +333,6 @@ std::optional<FaultInjector::Decision> FaultInjector::OnCall(ProcKind device, Op
       ev.charged_us = r.kind == FaultKind::kTimeout ? r.timeout_us : 0.0;
       events_.push_back(ev);
     }
-  }
-  return decision;
-}
-
-std::optional<FaultInjector::Decision> FaultInjector::OnNetCall(FaultTarget target, int id,
-                                                                double now_us) {
-  // Count the call on both the per-id timeline (specific-id rules) and the
-  // per-target aggregate (any-id rules), so `net.link@call:3` means "the
-  // 3rd message on any link" while `net.link@id:1@call:3` means "worker 1's
-  // 3rd message".
-  const int64_t id_count = ++CallCount(target, id, OpKind::kKernel);
-  const int64_t any_count = ++CallCount(target, kAnyInstance, OpKind::kKernel);
-  std::optional<Decision> decision;
-  for (size_t i = 0; i < plan_.rules.size(); ++i) {
-    const FaultRule& r = plan_.rules[i];
-    if (r.target != target) {
-      continue;
-    }
-    if (r.net_id >= 0 && r.net_id != id) {
-      continue;
-    }
-    if (r.limit >= 0 && fired_[i] >= r.limit) {
-      continue;
-    }
-    if (r.node >= 0 && r.node != node_) {
-      continue;
-    }
-    const int64_t matched_calls = r.net_id >= 0 ? id_count : any_count;
-    if (r.call >= 0 && r.call != matched_calls) {
-      continue;
-    }
-    if (r.probability >= 0.0 && NextUniform() >= r.probability) {
-      continue;
-    }
-    if (decision.has_value()) {
-      continue;  // First matching rule wins; later rules still draw above.
-    }
-    ++fired_[i];
-    decision = Decision{r.kind, r.timeout_us, r.factor, r.delay_us};
-    FaultEvent ev;
-    ev.kind = r.kind;
-    ev.target = target;
-    ev.net_id = id;
-    ev.node = node_;
-    ev.call = id_count;
-    ev.at_us = now_us;
-    ev.charged_us = r.kind == FaultKind::kDelay ? r.delay_us : 0.0;
-    events_.push_back(ev);
   }
   return decision;
 }

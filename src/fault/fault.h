@@ -1,5 +1,5 @@
 // Deterministic fault injection for the ucl device timelines (DESIGN.md
-// Section 10) and the simulated network links (DESIGN.md Section 15).
+// Section 10).
 //
 // Real mobile GPU stacks fail in ways the paper's model ignores:
 // driver-dependent enqueue/map errors, device resets, and DVFS/thermal
@@ -9,40 +9,28 @@
 // call (and the executor's staging points), so the same plan always yields
 // the same fault trace, latency and DegradationReport.
 //
-// The distributed layer (src/net) speaks the same grammar: `net.link` and
-// `net.worker` targets describe transport faults (message drops, added
-// delay, persistent partitions) and worker deaths on the same seeded
-// splitmix64 stream, so a cluster-level fault trace is as reproducible as a
-// device-level one.
-//
 // Spec string grammar (ULAYER_FAULTS / FaultPlan::Parse):
 //   spec     := item (';' item)*
 //   item     := 'seed=' uint | rule
 //   rule     := target selector* '=' effect
 //   target   := ('cpu'|'gpu') '.' ('kernel'|'map'|'unmap'|'any')
-//             | 'net' '.' ('link'|'worker')
 //   selector := '@node:' int      -- fire only on this graph node id
 //             | '@call:' int      -- fire on the Nth (1-based) matching call
 //             | '@prob:' float    -- fire with this probability (seeded RNG)
 //             | '@limit:' int     -- fire at most N times
-//             | '@id:' int        -- net targets: this link/worker id only
 //   effect   := 'enqueue-failed' | 'map-failed' | 'device-lost'
 //             | 'timeout:' float(us) | 'slow:' float(factor)
-//             | 'drop' | 'delay:' float(us) | 'partition' | 'death'
-// Device effects require a device target; `drop`, `delay` and `partition`
-// require a `net.link` target and `death` a `net.worker` target.
+// Each selector appears at most once per rule, every number spans its whole
+// token (`@call:3x` and `@node:7.9` are errors), and only `timeout` and
+// `slow` take an argument.
 // Examples:
 //   gpu.kernel@call:3=enqueue-failed
 //   gpu.kernel@node:7=device-lost
 //   seed=42;gpu.any@prob:0.1=timeout:500
 //   gpu.kernel=slow:2.5            (persistent thermal throttle)
-//   net.link@id:1@call:2=drop      (drop worker 1's 2nd message attempt)
-//   net.link@prob:0.05=delay:250   (lossy-ish WiFi: 5% of messages +250us)
-//   net.worker@id:2=death          (kill worker 2 at its first assignment)
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -58,38 +46,28 @@ enum class FaultKind : uint8_t {
   kDeviceLost,     // CL_DEVICE_NOT_AVAILABLE-style reset: trips the breaker.
   kTimeout,        // The command hung; the device is busy until the timeout.
   kSlowdown,       // DVFS/thermal throttle: the kernel body is stretched.
-  kDrop,           // net.link: this message attempt is lost in flight.
-  kDelay,          // net.link: this message arrives delay_us late.
-  kPartition,      // net.link: the link goes down for the rest of the run.
-  kWorkerDeath,    // net.worker: the worker dies at this slice assignment.
 };
 
 enum class OpKind : uint8_t { kKernel, kMap, kUnmap, kAny };
 
-// What a rule (or an injected event) applies to: a device timeline inside
-// the SoC, or one of the simulated cluster's links/workers.
-enum class FaultTarget : uint8_t { kDevice, kNetLink, kNetWorker };
-
 std::string_view FaultKindName(FaultKind kind);
 std::string_view OpKindName(OpKind op);
-std::string_view FaultTargetName(FaultTarget target);
 
 struct FaultRule {
-  FaultTarget target = FaultTarget::kDevice;
-  ProcKind device = ProcKind::kGpu;  // kDevice targets only.
-  OpKind op = OpKind::kKernel;       // kDevice targets only.
+  ProcKind device = ProcKind::kGpu;
+  OpKind op = OpKind::kKernel;
   FaultKind kind = FaultKind::kEnqueueFailed;
   // Selectors; negative means "unused". A rule fires only when every set
   // selector matches.
-  int net_id = -1;            // Net targets: link/worker id (-1 = any).
   int node = -1;              // Executor-tagged graph node id.
   int64_t call = -1;          // 1-based count of matching-target calls.
   double probability = -1.0;  // Seeded Bernoulli draw per matching call.
   int64_t limit = -1;         // Max firings of this rule; -1 = unlimited.
   double timeout_us = 0.0;    // kTimeout: device-busy window before failing.
   double factor = 1.0;        // kSlowdown: body-time multiplier.
-  double delay_us = 0.0;      // kDelay: extra in-flight time for the message.
 
+  // Numbers print in shortest round-trip form, so Parse(ToString()) gives
+  // back every field exactly.
   std::string ToString() const;
 };
 
@@ -111,27 +89,25 @@ struct FaultPlan {
 // One injected fault occurrence, in injection order.
 struct FaultEvent {
   FaultKind kind = FaultKind::kEnqueueFailed;
-  FaultTarget target = FaultTarget::kDevice;
-  ProcKind device = ProcKind::kGpu;  // kDevice events only.
-  OpKind op = OpKind::kKernel;       // kDevice events only.
-  int net_id = -1;       // Net events: the link/worker id the fault hit.
+  ProcKind device = ProcKind::kGpu;
+  OpKind op = OpKind::kKernel;
   int node = -1;         // Graph node the executor tagged, or -1.
   int64_t call = 0;      // Matching-target call count at injection time.
-  double at_us = 0.0;    // Device/cluster-timeline time of the call.
+  double at_us = 0.0;    // Device-timeline time of the call.
   // Busy time the fault itself consumed: the timeout window for kTimeout,
-  // the added in-flight time for kDelay, 0 for fail-fast kinds. Lets tests
-  // audit that timeouts/delays are charged exactly once and fail-fast faults
-  // never charge (the retry accounting invariant of DESIGN.md Section 11).
+  // 0 for fail-fast kinds. Lets tests audit that timeouts are charged
+  // exactly once and fail-fast faults never charge (the retry accounting
+  // invariant of DESIGN.md Section 11).
   double charged_us = 0.0;
 
   std::string ToString() const;
 };
 
-// Stateful rule evaluator. One injector serves one ucl::Context (or one
-// net::Coordinator); the executor resets it at the top of every Run so
-// per-run fault traces are reproducible regardless of how many runs share
-// the executor. Not thread-safe: all calls come from the executor's issuing
-// thread (matching the ucl timeline contract).
+// Stateful rule evaluator. One injector serves one ucl::Context; the
+// executor resets it at the top of every Run so per-run fault traces are
+// reproducible regardless of how many runs share the executor. Not
+// thread-safe: all calls come from the executor's issuing thread (matching
+// the ucl timeline contract).
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan);
@@ -141,22 +117,13 @@ class FaultInjector {
     FaultKind kind = FaultKind::kEnqueueFailed;
     double timeout_us = 0.0;
     double factor = 1.0;
-    double delay_us = 0.0;
   };
 
-  // Evaluates the device rules against one enqueue call at device-time
-  // `now_us`. Counts the call, draws probability selectors, records a
-  // FaultEvent when a rule fires, and returns the first matching rule's
-  // decision. Net rules never match here.
+  // Evaluates the rules against one enqueue call of class `op` (kernel, map
+  // or unmap; never kAny) at device-time `now_us`. Counts the call, draws
+  // probability selectors, records a FaultEvent when a rule fires, and
+  // returns the first matching rule's decision.
   std::optional<Decision> OnCall(ProcKind device, OpKind op, double now_us);
-
-  // Evaluates the net rules against one link-message attempt or worker
-  // slice assignment at cluster-time `now_us`. `id` is the link/worker id
-  // (the worker's index in the ClusterSpec). Same counting, probability and
-  // first-match-wins semantics as OnCall, on the same RNG stream — so a plan
-  // mixing device and net rules has one reproducible trace. Device rules
-  // never match here.
-  std::optional<Decision> OnNetCall(FaultTarget target, int id, double now_us);
 
   // Tags subsequent calls with the graph node being executed (-1 = none).
   void set_current_node(int node) { node_ = node; }
@@ -172,20 +139,12 @@ class FaultInjector {
   int64_t slowdown_count() const { return slowdowns_; }
 
  private:
-  // Call counter for one (target, instance, op-class) timeline. Devices use
-  // instance 0 (cpu) / 1 (gpu); net targets use the link/worker id, plus a
-  // per-target aggregate instance (kAnyInstance) that any-id rules count
-  // against. A map keyed on the full triple replaces the old counts_[2][3]
-  // table, which assumed exactly 2 devices x 3 op classes and would have
-  // silently aliased any new target onto a device slot.
-  static constexpr int kAnyInstance = 0xffff;
-  int64_t& CallCount(FaultTarget target, int instance, OpKind op);
   double NextUniform();  // [0, 1) from the seeded splitmix64 stream.
 
   FaultPlan plan_;
   int node_ = -1;
   uint64_t rng_state_ = 0;
-  std::map<uint32_t, int64_t> counts_;
+  int64_t counts_[2][3] = {};   // Calls per [cpu, gpu] x [kernel, map, unmap].
   std::vector<int64_t> fired_;  // Per-rule firing counts.
   std::vector<FaultEvent> events_;
   int64_t slowdowns_ = 0;

@@ -1,6 +1,7 @@
 #include "io/io.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 namespace ulayer {
@@ -28,6 +29,32 @@ std::string ReadKeyValue(std::istream& is, const std::string& key) {
     return "";
   }
   return tok.substr(key.size() + 1);
+}
+
+// Largest tensor dimension: shape inference (kernels/params.h) and the
+// kernels index every axis with int.
+constexpr int64_t kMaxDim = std::numeric_limits<int>::max();
+
+bool DimsInRange(const Shape& s) {
+  return s.IsValid() && s.n <= kMaxDim && s.c <= kMaxDim && s.h <= kMaxDim && s.w <= kMaxDim;
+}
+
+// One spatial output size of a conv/pool window, computed in int64_t.
+// Returns 0 unless kernel >= 1, stride >= 1, pad >= 0, the window fits the
+// padded input, and every intermediate of the int arithmetic in
+// kernels/params.h (padded input, ceil-mode numerator) fits in an int. The
+// result then lies in [1, kMaxDim].
+int64_t WindowOutDim(int64_t in, int64_t kernel, int64_t stride, int64_t pad, bool ceil_mode) {
+  if (kernel < 1 || stride < 1 || pad < 0) {
+    return 0;
+  }
+  const int64_t padded = in + 2 * pad;
+  const int64_t numer = padded - kernel;
+  const int64_t rounded = ceil_mode ? numer + stride - 1 : numer;
+  if (numer < 0 || padded > kMaxDim || rounded > kMaxDim) {
+    return 0;
+  }
+  return rounded / stride + 1;
 }
 
 template <typename Fail>
@@ -150,9 +177,33 @@ Graph GraphFromText(const std::string& text) {
       }
       return id;
     };
+    // Reads `count` input ids one token at a time, so a huge count cannot
+    // allocate before the line runs out of ids.
+    auto read_inputs = [&](int count, const std::string& what) {
+      std::vector<int> inputs;
+      for (int i = 0; i < count; ++i) {
+        int id = 0;
+        if (!(ls >> id)) {
+          fail("bad " + what + " inputs");
+        }
+        inputs.push_back(check_input(id));
+      }
+      return inputs;
+    };
+    // Every windowed layer is checked before Graph::Add*, whose int shape
+    // arithmetic would otherwise divide by zero or overflow.
+    auto check_window = [&](int in, int kh, int kw, int sh, int sw, int ph, int pw,
+                            bool ceil_mode) {
+      const Shape& s = g.node(check_input(in)).out_shape;
+      if (WindowOutDim(s.h, kh, sh, ph, ceil_mode) == 0 ||
+          WindowOutDim(s.w, kw, sw, pw, ceil_mode) == 0) {
+        fail("want kernel and stride >= 1, pad >= 0 and a window inside the padded " +
+             s.ToString() + " input");
+      }
+    };
     if (op == "input") {
       Shape s;
-      if (!(ls >> s.n >> s.c >> s.h >> s.w) || !s.IsValid()) {
+      if (!(ls >> s.n >> s.c >> s.h >> s.w) || !DimsInRange(s)) {
         fail("bad input shape");
       }
       g.AddInput(s, name);
@@ -165,14 +216,16 @@ Graph GraphFromText(const std::string& text) {
           oc <= 0) {
         fail("bad conv");
       }
+      check_window(in, p.kernel_h, p.kernel_w, p.stride_h, p.stride_w, p.pad_h, p.pad_w, false);
       p.relu = relu != 0;
-      g.AddConv2D(name, check_input(in), oc, p);
+      g.AddConv2D(name, in, oc, p);
     } else if (op == "dwconv") {
       int in = 0, k = 0, s = 0, pad = 0, relu = 0;
       if (!(ls >> in >> k >> s >> pad >> relu)) {
         fail("bad dwconv");
       }
-      g.AddDepthwiseConv(name, check_input(in), k, s, pad, relu != 0);
+      check_window(in, k, k, s, s, pad, pad, false);
+      g.AddDepthwiseConv(name, in, k, s, pad, relu != 0);
     } else if (op == "fc") {
       int in = 0, relu = 0;
       int64_t out = 0;
@@ -186,7 +239,8 @@ Graph GraphFromText(const std::string& text) {
       if (!(ls >> in >> kind >> k >> s >> pad >> ceil_mode) || (kind != "max" && kind != "avg")) {
         fail("bad pool");
       }
-      g.AddPool(name, check_input(in), kind == "max" ? PoolKind::kMax : PoolKind::kAvg, k, s, pad,
+      check_window(in, k, k, s, s, pad, pad, ceil_mode != 0);
+      g.AddPool(name, in, kind == "max" ? PoolKind::kMax : PoolKind::kAvg, k, s, pad,
                 ceil_mode != 0);
     } else if (op == "gavgpool") {
       int in = 0;
@@ -203,7 +257,7 @@ Graph GraphFromText(const std::string& text) {
     } else if (op == "lrn") {
       int in = 0;
       LrnParams p;
-      if (!(ls >> in >> p.local_size >> p.alpha >> p.beta >> p.k)) {
+      if (!(ls >> in >> p.local_size >> p.alpha >> p.beta >> p.k) || p.local_size < 1) {
         fail("bad lrn");
       }
       g.AddLrn(name, check_input(in), p);
@@ -212,12 +266,14 @@ Graph GraphFromText(const std::string& text) {
       if (!(ls >> count) || count < 1) {
         fail("bad concat");
       }
-      std::vector<int> inputs(static_cast<size_t>(count));
-      for (int& id : inputs) {
-        if (!(ls >> id)) {
-          fail("bad concat inputs");
+      const std::vector<int> inputs = read_inputs(count, "concat");
+      const Shape& first = g.node(inputs[0]).out_shape;
+      for (int id : inputs) {
+        const Shape& s = g.node(id).out_shape;
+        if (s.n != first.n || s.h != first.h || s.w != first.w) {
+          fail("concat inputs " + first.ToString() + " and " + s.ToString() +
+               " differ outside the channel axis");
         }
-        check_input(id);
       }
       g.AddConcat(name, inputs);
     } else if (op == "add") {
@@ -225,12 +281,11 @@ Graph GraphFromText(const std::string& text) {
       if (!(ls >> relu >> count) || count < 2) {
         fail("bad add");
       }
-      std::vector<int> inputs(static_cast<size_t>(count));
-      for (int& id : inputs) {
-        if (!(ls >> id)) {
-          fail("bad add inputs");
+      const std::vector<int> inputs = read_inputs(count, "add");
+      for (int id : inputs) {
+        if (g.node(id).out_shape != g.node(inputs[0]).out_shape) {
+          fail("add inputs have different shapes");
         }
-        check_input(id);
       }
       g.AddEltwiseAdd(name, inputs, relu != 0);
     } else if (op == "softmax") {
@@ -241,6 +296,11 @@ Graph GraphFromText(const std::string& text) {
       g.AddSoftmax(name, check_input(in));
     } else {
       fail("unknown op '" + op + "'");
+    }
+    // Channel counts (conv, fc, concat) are inferred in int64_t; bound them
+    // like the spatial axes.
+    if (!DimsInRange(g.node(g.size() - 1).out_shape)) {
+      fail("output shape " + g.node(g.size() - 1).out_shape.ToString() + " out of range");
     }
   }
   if (g.size() == 0) {

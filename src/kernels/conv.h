@@ -29,8 +29,8 @@ namespace ulayer {
 // caches cover the full tensor, kernels offset by oc_begin themselves).
 struct ConvAux {
   // Scratch arena for im2col / staging buffers. Null: kernels fall back to
-  // per-call heap vectors (calibration's ForwardF32, the src/net coordinator
-  // and the kernel unit tests run this way).
+  // per-call heap vectors (calibration's ForwardF32 and the kernel unit tests
+  // run this way).
   memory::ScratchArena* scratch = nullptr;
 
   // QUInt8 paths: per-tensor requantization multiplier

@@ -5,8 +5,12 @@
 #include <cmath>
 #include <limits>
 
-namespace ulayer::multi {
+#include "soc/work.h"
 
+namespace ulayer::multi {
+namespace {
+
+// True when `k` supports channel-wise output splitting (paper Section 5).
 bool SplittableLayer(LayerKind k) {
   switch (k) {
     case LayerKind::kConv:
@@ -26,6 +30,8 @@ bool SplittableLayer(LayerKind k) {
   return false;
 }
 
+// Work of the fraction-`fraction` output-channel slice of `node` (QUInt8
+// storage).
 LayerWork SliceWork(const Graph& g, const Node& node, double fraction) {
   const int64_t c = node.out_shape.c;
   const int64_t c_end =
@@ -34,6 +40,8 @@ LayerWork SliceWork(const Graph& g, const Node& node, double fraction) {
   return ComputeWork(g, node, DType::kQUInt8, 0, c_end);
 }
 
+// All compositions of 1.0 into `n` parts on a `step` grid with at least two
+// active entries, in a deterministic enumeration order.
 std::vector<std::vector<double>> FractionGrid(size_t n, double step) {
   std::vector<std::vector<double>> grid;
   const int steps = static_cast<int>(std::lround(1.0 / step));
@@ -64,6 +72,15 @@ std::vector<std::vector<double>> FractionGrid(size_t n, double step) {
   }
   return grid;
 }
+
+// Roofline latency of `work` on one processor at its friendly dtype.
+double KernelLatencyUs(const MultiProcessor& p, const LayerWork& work) {
+  const double compute_us = work.macs / (p.spec.GmacsFor(p.compute) * 1e3);
+  const double memory_us = work.TotalBytes() / (p.spec.gb_per_s * 1e3);
+  return p.spec.kernel_launch_us + compute_us + memory_us;
+}
+
+}  // namespace
 
 MultiSoc MakeExynos7420Multi() {
   const SocSpec base = MakeExynos7420();
@@ -96,12 +113,6 @@ MultiSoc MakeExynos7420WithNpu() {
   npu.active_w_qu8 = 1.1;
   soc.procs.push_back({npu, DType::kQUInt8});
   return soc;
-}
-
-double KernelLatencyUs(const MultiProcessor& p, const LayerWork& work) {
-  const double compute_us = work.macs / (p.spec.GmacsFor(p.compute) * 1e3);
-  const double memory_us = work.TotalBytes() / (p.spec.gb_per_s * 1e3);
-  return p.spec.kernel_launch_us + compute_us + memory_us;
 }
 
 MultiPartitioner::MultiPartitioner(const Graph& graph, const MultiSoc& soc, Options options)

@@ -21,7 +21,6 @@
 
 #include "nn/branch.h"
 #include "soc/spec.h"
-#include "soc/work.h"
 
 namespace ulayer::multi {
 
@@ -45,22 +44,6 @@ struct MultiSoc {
 MultiSoc MakeExynos7420WithNpu();
 // The same SoC without the NPU (for apples-to-apples comparisons).
 MultiSoc MakeExynos7420Multi();
-
-// Roofline latency of `work` on one processor at its friendly dtype.
-double KernelLatencyUs(const MultiProcessor& p, const LayerWork& work);
-
-// True when `kind` supports channel-wise output splitting (paper Section 5).
-// Shared by the N-processor partitioner here and the N-node distributed
-// partitioner in src/net.
-bool SplittableLayer(LayerKind kind);
-
-// Work of the fraction-f output-channel slice of `node` (QUInt8 storage).
-LayerWork SliceWork(const Graph& g, const Node& node, double fraction);
-
-// All compositions of 1.0 into `n` parts on a `step` grid with at least two
-// active entries, in a deterministic enumeration order. The candidate pool
-// both N-way partitioners (processors in src/multi, nodes in src/net) search.
-std::vector<std::vector<double>> FractionGrid(size_t n, double step);
 
 // Per-node output-channel fractions, one per processor; sums to 1.
 struct MultiAssignment {

@@ -70,12 +70,6 @@ Status FailureStatus(fault::FaultKind kind) {
       return Status::kTimeout;
     case fault::FaultKind::kSlowdown:
       return Status::kOk;
-    case fault::FaultKind::kDrop:
-    case fault::FaultKind::kDelay:
-    case fault::FaultKind::kPartition:
-    case fault::FaultKind::kWorkerDeath:
-      // Net kinds never reach a device timeline (OnCall skips net rules).
-      return Status::kOk;
   }
   return Status::kOk;
 }

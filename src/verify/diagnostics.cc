@@ -15,7 +15,6 @@ std::string DiagCodeId(DiagCode code) {
                       : v < 400 ? 'Q'
                       : v < 500 ? 'T'
                       : v < 800 ? 'A'
-                      : v < 900 ? 'N'
                                 : 'H';
   std::ostringstream os;
   os << prefix;
@@ -126,16 +125,6 @@ std::string_view DiagCodeName(DiagCode code) {
       return "chunk-coverage-gap";
     case DiagCode::kAccessSpecMissing:
       return "access-spec-missing";
-    case DiagCode::kNetSliceCoverage:
-      return "net-slice-coverage";
-    case DiagCode::kNetDoubleDelivery:
-      return "net-double-delivery";
-    case DiagCode::kNetRetransmitMismatch:
-      return "net-retransmit-mismatch";
-    case DiagCode::kNetMessageInvalid:
-      return "net-message-invalid";
-    case DiagCode::kNetDeadWorkerActivity:
-      return "net-dead-worker-activity";
     case DiagCode::kAdaptCorrectionInvalid:
       return "adapt-correction-invalid";
     case DiagCode::kAdaptCacheIncoherent:

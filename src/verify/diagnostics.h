@@ -15,8 +15,7 @@ namespace ulayer {
 // Stable diagnostic codes. Grouped by prefix: G = graph structure,
 // P = plan structure, C = execution config, Q = quantization parameters,
 // T = run-trace invariants, A = static memory-access analysis,
-// N = distributed (net-layer) run invariants, H = adaptation-loop
-// (device-health) invariants.
+// H = adaptation-loop (device-health) invariants.
 enum class DiagCode : uint16_t {
   // --- Graph (G0xx) ---------------------------------------------------------
   kGraphEmpty = 1,          // G001: graph has no nodes.
@@ -114,25 +113,6 @@ enum class DiagCode : uint16_t {
                                //       the kernel's declared write set.
   kAccessSpecMissing = 703,    // A703: splittable compute node without an
                                //       AccessSpec (nothing to prove).
-
-  // --- Distributed net-layer invariants (N8xx) ------------------------------
-  // Reported by net::VerifyNetRun over a NetRunResult's message/slice logs.
-  kNetSliceCoverage = 801,     // N801: delivered channel slices do not
-                               //       partition [0, C_out) for a node after
-                               //       re-routing (gap or out-of-range).
-  kNetDoubleDelivery = 802,    // N802: a channel range was delivered twice
-                               //       for one node (overlapping slices).
-  kNetRetransmitMismatch = 803,  // N803: per-message attempt counts disagree
-                                 //       with the degradation report's
-                                 //       retransmit total, or exceed the
-                                 //       cluster's retransmit bound.
-  kNetMessageInvalid = 804,    // N804: malformed message record (arrival
-                               //       before send + link latency, empty
-                               //       payload, wrong fragment count, bad
-                               //       worker id).
-  kNetDeadWorkerActivity = 805,  // N805: a slice was computed by (or a
-                                 //       message delivered to/from) a worker
-                                 //       after its recorded death time.
 
   // --- Adaptation-loop invariants (H9xx) ------------------------------------
   // Reported by VerifyCorrectionTable / VerifyPlanCache /

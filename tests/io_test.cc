@@ -1,10 +1,19 @@
 #include "io/io.h"
 
+#include <cctype>
+#include <cmath>
+#include <cstdlib>
+#include <iterator>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baselines/baselines.h"
 #include "core/runtime.h"
 #include "models/model.h"
+#include "tensor/rng.h"
+#include "verify/verify.h"
 
 namespace ulayer {
 namespace {
@@ -85,6 +94,47 @@ TEST(IoTest, RejectsBadShapes) {
 }
 
 TEST(IoTest, RejectsEmptyGraph) { EXPECT_THROW(GraphFromText("ulayer-graph v1\n"), ParseError); }
+
+// Layers whose shape arithmetic would divide by zero or overflow int are
+// rejected before they reach Graph::Add*.
+TEST(IoTest, RejectsOutOfDomainLayers) {
+  const std::string head = "ulayer-graph v1\ninput in 1 4 8 8\n";
+  const char* bad[] = {
+      "conv c 0 4 3 3 0 0 1 1 0",             // stride 0: SIGFPE in OutH
+      "conv c 0 4 3 3 1 1 -2147483648 0 0",   // pad INT_MIN: 2 * pad overflows
+      "conv c 0 4 3 3 1 1 -1 0 0",            // negative pad
+      "conv c 0 4 0 3 1 1 0 0 0",             // kernel 0
+      "conv c 0 4 9 9 1 1 0 0 0",             // window larger than the input
+      "conv c 0 2147483648 1 1 1 1 0 0 0",    // channels beyond int
+      "dwconv d 0 3 0 1 0",                   // stride 0
+      "dwconv d 0 0 1 0 0",                   // kernel 0
+      "pool p 0 max 2 0 0 0",                 // stride 0
+      "pool p 0 avg 2 2 -1 1",                // negative pad
+      "lrn l 0 0 0.0001 0.75 2",              // empty LRN window
+      "concat c 2147483647 0",                // count far beyond the ids given
+  };
+  for (const char* line : bad) {
+    EXPECT_THROW(GraphFromText(head + line + "\n"), ParseError) << line;
+  }
+  // An input dimension of INT_MAX: a padded window overflows int...
+  EXPECT_THROW(GraphFromText("ulayer-graph v1\ninput in 1 1 2147483647 1\n"
+                             "conv c 0 1 3 1 1 1 1 0 0\n"),
+               ParseError);
+  // ...and a dimension beyond it is rejected at the input.
+  EXPECT_THROW(GraphFromText("ulayer-graph v1\ninput in 1 1 2147483648 1\n"), ParseError);
+  // Concat inputs must agree outside the channel axis; add inputs entirely.
+  const std::string two = head + "pool p 0 max 2 2 0 0\n";
+  EXPECT_THROW(GraphFromText(two + "concat c 2 0 1\n"), ParseError);
+  EXPECT_THROW(GraphFromText(two + "add a 0 2 0 1\n"), ParseError);
+  // The in-domain neighbours of those lines parse.
+  EXPECT_EQ(GraphFromText(head + "conv c 0 4 8 8 1 1 0 0 0\n").node(1).out_shape,
+            Shape(1, 4, 1, 1));
+  EXPECT_EQ(GraphFromText(two + "concat c 2 1 1\n").node(2).out_shape, Shape(1, 8, 4, 4));
+  EXPECT_EQ(GraphFromText("ulayer-graph v1\ninput in 1 1 2147483647 1\nconv c 0 1 1 1 1 1 0 0 0\n")
+                .node(1)
+                .out_shape,
+            Shape(1, 1, 2147483647, 1));
+}
 
 TEST(IoTest, SkipsCommentsAndBlankLines) {
   const Graph g = GraphFromText(
@@ -181,6 +231,179 @@ TEST(IoTest, TraceToTextRejectsAnUntracedRun) {
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
   }
+}
+
+// --- Mutation properties of the text parsers --------------------------------
+
+// Deterministic edits of a serialized graph or plan.
+class TextMutator {
+ public:
+  explicit TextMutator(uint64_t seed) : rng_(seed) {}
+
+  std::string Mutate(const std::string& text) {
+    return rng_.Below(2) == 0 ? Bytes(text) : Tokens(text);
+  }
+
+  // Replaces, deletes or inserts 1-3 bytes.
+  std::string Bytes(std::string text) {
+    static constexpr char kAlphabet[] = "0123456789-+.e []()=,\n\t#acgpquxz";
+    const uint64_t edits = 1 + rng_.Below(3);
+    for (uint64_t e = 0; e < edits && !text.empty(); ++e) {
+      const size_t pos = Below(text.size());
+      const char c = kAlphabet[Below(sizeof(kAlphabet) - 1)];
+      switch (rng_.Below(3)) {
+        case 0:
+          text[pos] = c;
+          break;
+        case 1:
+          text.erase(pos, 1);
+          break;
+        default:
+          text.insert(pos, 1, c);
+          break;
+      }
+    }
+    return text;
+  }
+
+  // One token-level edit: a number nudged by one, a token replaced by an edge
+  // value or by another token of the text, or a whole line dropped or
+  // repeated.
+  std::string Tokens(std::string text) {
+    static const char* const kEdge[] = {"0",          "-1",         "1",
+                                        "2",          "-2147483648", "2147483647",
+                                        "2147483648", "99999999999999999999",
+                                        "0.5",        "1e308",      "nan",
+                                        ""};
+    const auto tokens = Runs(text, [](unsigned char c) { return std::isspace(c) == 0; });
+    const auto numbers = Runs(text, [](unsigned char c) { return std::isdigit(c) != 0; });
+    if (tokens.empty()) {
+      return text;
+    }
+    const auto [b, e] = tokens[Below(tokens.size())];
+    switch (rng_.Below(4)) {
+      case 0: {
+        if (numbers.empty()) {
+          return text;
+        }
+        const auto [nb, ne] = numbers[Below(numbers.size())];
+        const long long v = std::strtoll(text.substr(nb, ne - nb).c_str(), nullptr, 10);
+        return text.replace(nb, ne - nb, std::to_string(rng_.Below(2) == 0 ? v + 1 : v - 1));
+      }
+      case 1:
+        return text.replace(b, e - b, kEdge[Below(std::size(kEdge))]);
+      case 2: {
+        const auto [ob, oe] = tokens[Below(tokens.size())];
+        return text.replace(b, e - b, text.substr(ob, oe - ob));
+      }
+      default: {
+        const size_t lb = text.rfind('\n', b) + 1;  // npos + 1 == 0: the first line.
+        const size_t nl = text.find('\n', e);
+        const size_t le = nl == std::string::npos ? text.size() : nl + 1;
+        return rng_.Below(2) == 0 ? text.erase(lb, le - lb)
+                                  : text.insert(le, text.substr(lb, le - lb));
+      }
+    }
+  }
+
+ private:
+  // Maximal runs [begin, end) of characters satisfying `in_run`.
+  template <typename Pred>
+  static std::vector<std::pair<size_t, size_t>> Runs(const std::string& text, Pred in_run) {
+    std::vector<std::pair<size_t, size_t>> runs;
+    for (size_t i = 0; i < text.size();) {
+      size_t j = i;
+      while (j < text.size() && in_run(static_cast<unsigned char>(text[j]))) {
+        ++j;
+      }
+      if (j > i) {
+        runs.emplace_back(i, j);
+        i = j;
+      } else {
+        ++i;
+      }
+    }
+    return runs;
+  }
+
+  size_t Below(size_t n) { return static_cast<size_t>(rng_.Below(n)); }
+
+  Rng rng_;
+};
+
+std::vector<Model> MutationZoo() {
+  return {MakeLeNet5(), MakeAlexNet(), MakeGoogLeNet(), MakeSqueezeNetV11(), MakeResNet18()};
+}
+
+// Every mutation of a zoo graph's text either parses into a graph the
+// verifier can inspect or throws a typed ParseError: no crash, no UB (the
+// sanitizer CI stage runs this), no untyped exception.
+TEST(IoMutationTest, MutatedGraphTextParsesOrThrowsTyped) {
+  int parsed = 0;
+  int rejected = 0;
+  uint64_t seed = 1;
+  for (const Model& m : MutationZoo()) {
+    const std::string text = GraphToText(m.graph);
+    TextMutator mut(seed++);
+    for (int i = 0; i < 800; ++i) {
+      const std::string mutant = mut.Mutate(text);
+      Graph g;
+      try {
+        g = GraphFromText(mutant);
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kParse) << mutant;
+        ++rejected;
+        continue;
+      }
+      ++parsed;
+      (void)VerifyGraph(g);
+      EXPECT_EQ(GraphToText(GraphFromText(GraphToText(g))), GraphToText(g)) << mutant;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+// Every mutation of a partitioner plan's text either parses or throws a
+// typed ParseError; every parsed plan that passes VerifyPlan runs
+// timing-only to a finite positive latency.
+TEST(IoMutationTest, MutatedPlanTextParsesOrThrowsTypedAndVerifiedPlansRun) {
+  const SocSpec soc = MakeExynos7420();
+  const ExecConfig cfg = ExecConfig::ProcessorFriendly();
+  ExecConfig no_verify = cfg;
+  no_verify.verify = false;
+  int rejected = 0;
+  int unverified = 0;
+  int ran = 0;
+  uint64_t seed = 101;
+  for (const Model& m : {MakeAlexNet(), MakeGoogLeNet(), MakeResNet18()}) {
+    const Graph& g = m.graph;
+    const std::string text = PlanToText(ULayerRuntime(m, soc).plan(), g);
+    PreparedModel pm(m, no_verify);
+    Executor ex(pm, soc);
+    TextMutator mut(seed++);
+    for (int i = 0; i < 1000; ++i) {
+      const std::string mutant = mut.Mutate(text);
+      Plan plan;
+      try {
+        plan = PlanFromText(mutant, g);
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kParse) << mutant;
+        ++rejected;
+        continue;
+      }
+      if (!VerifyPlan(g, plan, cfg).ok()) {
+        ++unverified;
+        continue;
+      }
+      const RunResult r = ex.Run(plan);
+      EXPECT_TRUE(std::isfinite(r.latency_us) && r.latency_us > 0.0) << mutant;
+      ++ran;
+    }
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(unverified, 0);
+  EXPECT_GT(ran, 0);
 }
 
 }  // namespace

@@ -30,7 +30,6 @@
 #include "fault/fault.h"
 #include "io/io.h"
 #include "models/model.h"
-#include "net/coordinator.h"
 #include "serve/request.h"
 #include "serve/server.h"
 #include "soc/timing.h"
@@ -91,17 +90,6 @@ Options:
                     batch log and per-request completion log (with FNV-1a
                     output digests) to stdout. The output is byte-identical
                     at any ULAYER_CPU_THREADS value — CI diffs two runs
-  --net-smoke       ignore plan flags and run a functional distributed smoke
-                    over a simulated cluster (src/net): partition --model
-                    (default lenet5) across --net-nodes workers, execute
-                    through the fault-tolerant coordinator (composes with
-                    --faults: net.link / net.worker rules inject drops,
-                    delays, partitions and worker deaths), check the N-series
-                    run invariants (N8xx codes) and print the run summary,
-                    degradation report and FNV-1a output digest to stdout.
-                    The digest line is byte-identical at any node count,
-                    thread count or recoverable fault spec — CI diffs them
-  --net-nodes <n>   worker count for --net-smoke (default 2)
   --adapt           ignore plan flags and run the closed adaptation loop
                     (timing-only) over a committed throttle ramp: 4 clean
                     baseline runs, 6 runs under the --faults spec (default
@@ -173,9 +161,7 @@ int main(int argc, char** argv) {
   bool graph_only = false;
   bool analyze = false;
   bool serve_smoke = false;
-  bool net_smoke = false;
   bool adapt_smoke = false;
-  int node_count = 2;
 
   auto next_arg = [&](int& i, const char* flag) -> std::string {
     if (i + 1 >= argc) {
@@ -232,19 +218,8 @@ int main(int argc, char** argv) {
       analyze = true;
     } else if (a == "--serve-smoke") {
       serve_smoke = true;
-    } else if (a == "--net-smoke") {
-      net_smoke = true;
     } else if (a == "--adapt") {
       adapt_smoke = true;
-    } else if (a == "--net-nodes") {
-      try {
-        node_count = std::stoi(next_arg(i, "--net-nodes"));
-      } catch (const std::exception&) {
-        UsageError("--net-nodes wants an integer");
-      }
-      if (node_count <= 0) {
-        UsageError("--net-nodes wants a positive integer");
-      }
     } else if (a == "-h" || a == "--help") {
       std::cout << kUsage;
       return 0;
@@ -296,101 +271,6 @@ int main(int argc, char** argv) {
       return 0;
     } catch (const Error& e) {
       std::cerr << "ulayer_verify: serve-smoke failed (" << ErrorCodeName(e.code())
-                << "): " << e.what() << "\n";
-      return 1;
-    }
-  }
-
-  // --- Distributed smoke (--net-smoke) ---------------------------------------
-  if (net_smoke) {
-    ExecConfig config = MakeConfig(config_name);
-    config.cpu_threads = cpu_threads;
-    fault::FaultPlan fault_plan;
-    if (run_faults) {
-      try {
-        fault_plan = fault::FaultPlan::Parse(faults_spec);
-      } catch (const Error& e) {
-        std::cerr << "ulayer_verify: bad --faults spec: " << e.what() << "\n";
-        return 2;
-      }
-    }
-    try {
-      Model model = MakeZooModel(model_name.empty() ? "lenet5" : model_name);
-      model.MaterializeWeights();
-      PreparedModel prepared(model, config);
-      if (config.storage == DType::kQUInt8) {
-        std::vector<Tensor> calib;
-        for (int i = 0; i < 2; ++i) {
-          Tensor t(model.graph.node(0).out_shape, DType::kF32);
-          FillUniform(t, 0xca11 + static_cast<uint64_t>(i));
-          calib.push_back(std::move(t));
-        }
-        prepared.Calibrate(calib);
-      }
-      const net::ClusterSpec cluster = net::MakeUniformCluster(node_count);
-      const net::NetPartitioner partitioner(model.graph, cluster);
-      // The even plan guarantees every worker participates on every
-      // splittable layer — the latency-optimal plan may keep a small model
-      // local, which would leave the fault machinery unexercised.
-      const net::NetPlan plan = net::MakeEvenPlan(model.graph, node_count);
-      net::Coordinator coord(prepared, cluster);
-      if (run_faults) {
-        coord.SetFaultPlan(std::move(fault_plan));
-      }
-      Tensor input(model.graph.node(0).out_shape, DType::kF32);
-      FillUniform(input, 0x5eed);
-      const net::NetRunResult r = coord.Run(plan, &input);
-
-      const Report net_report = net::VerifyNetRun(model.graph, cluster, r);
-      std::cerr << "net (" << model.name << ", " << node_count << " nodes, config "
-                << config_name << "): " << r.messages.size() << " messages, "
-                << net_report.error_count() << " errors, " << net_report.warning_count()
-                << " warnings\n";
-      if (!net_report.diagnostics().empty()) {
-        std::cerr << net_report.ToString();
-      }
-      if (!net_report.ok()) {
-        return 1;
-      }
-
-      // The digest line intentionally omits node count / latency: CI diffs it
-      // verbatim across --net-nodes values, thread counts and fault specs.
-      std::ostringstream digest;
-      digest << std::hex << r.output_digest;
-      std::cout << "net-smoke " << model.name << " (config " << config_name
-                << "): digest 0x" << digest.str() << "\n";
-      std::cout << "net-smoke " << node_count << " nodes: latency " << r.latency_us
-                << " us, " << r.wire_messages << " messages, " << r.wire_bytes
-                << " wire bytes\n";
-      std::cout << plan.ToString() << "\n" << r.degradation.ToString() << "\n";
-
-      if (metrics || !metrics_out.empty()) {
-        trace::MetricsRegistry registry;
-        net::AddNetRun(registry, r);
-        if (metrics) {
-          std::cout << registry.ToString();
-        }
-        if (!metrics_out.empty()) {
-          std::ofstream f(metrics_out);
-          if (!f) {
-            UsageError("cannot write '" + metrics_out + "'");
-          }
-          f << registry.ToJson();
-          std::cerr << "metrics written to " << metrics_out << "\n";
-        }
-      }
-
-      // Throughput-oriented pipeline partitioning over the same cluster
-      // (timing-only, fault-free by contract).
-      const net::NetPlan pipe = partitioner.BuildPipeline(node_count);
-      const net::PipelineResult pr = coord.RunPipeline(pipe, 8);
-      std::cout << "net-pipeline " << pipe.stage_worker.size() << " stages, " << pr.items
-                << " items: makespan " << pr.makespan_us << " us, bottleneck "
-                << pr.bottleneck_us << " us, throughput " << pr.throughput_per_s
-                << "/s\n";
-      return 0;
-    } catch (const Error& e) {
-      std::cerr << "ulayer_verify: net-smoke failed (" << ErrorCodeName(e.code())
                 << "): " << e.what() << "\n";
       return 1;
     }
