@@ -13,11 +13,6 @@
 namespace ulayer {
 namespace {
 
-bool IsParameterized(LayerKind k) {
-  return k == LayerKind::kConv || k == LayerKind::kDepthwiseConv ||
-         k == LayerKind::kFullyConnected;
-}
-
 QuantParams TensorMinMaxParams(const Tensor& f32) {
   MinMaxObserver obs;
   obs.Observe(f32);

@@ -4,6 +4,8 @@
 #include <limits>
 #include <sstream>
 
+#include "models/model.h"
+
 namespace ulayer {
 namespace {
 
@@ -37,6 +39,20 @@ constexpr int64_t kMaxDim = std::numeric_limits<int>::max();
 
 bool DimsInRange(const Shape& s) {
   return s.IsValid() && s.n <= kMaxDim && s.c <= kMaxDim && s.h <= kMaxDim && s.w <= kMaxDim;
+}
+
+// Bytes of a tensor of shape `s` at 4 B per element (the widest dtype), or -1
+// when the element count or the byte count overflows int64_t: every size
+// derived from a shape downstream (Shape::NumElements, memory planning, the
+// analyzer's pool packing) multiplies unchecked.
+int64_t CheckedBytes(const Shape& s) {
+  int64_t v = 1;
+  for (const int64_t factor : {s.n, s.c, s.h, s.w, int64_t{4}}) {
+    if (__builtin_mul_overflow(v, factor, &v)) {
+      return -1;
+    }
+  }
+  return v;
 }
 
 // One spatial output size of a conv/pool window, computed in int64_t.
@@ -159,6 +175,7 @@ Graph GraphFromText(const std::string& text) {
     throw ParseError("missing 'ulayer-graph v1' header");
   }
   Graph g;
+  int64_t graph_bytes = 0;  // Running total of every tensor's and filter's bytes.
   int line_no = 1;
   while (std::getline(is, line)) {
     ++line_no;
@@ -299,8 +316,20 @@ Graph GraphFromText(const std::string& text) {
     }
     // Channel counts (conv, fc, concat) are inferred in int64_t; bound them
     // like the spatial axes.
-    if (!DimsInRange(g.node(g.size() - 1).out_shape)) {
-      fail("output shape " + g.node(g.size() - 1).out_shape.ToString() + " out of range");
+    const Node& added = g.node(g.size() - 1);
+    if (!DimsInRange(added.out_shape)) {
+      fail("output shape " + added.out_shape.ToString() + " out of range");
+    }
+    int64_t bytes = CheckedBytes(added.out_shape);
+    if (bytes >= 0 && IsParameterized(added.desc.kind)) {
+      const int64_t filter_bytes = CheckedBytes(FilterShape(g, added));
+      if (filter_bytes < 0 || __builtin_add_overflow(bytes, filter_bytes, &bytes)) {
+        bytes = -1;
+      }
+    }
+    if (bytes < 0 || __builtin_add_overflow(graph_bytes, bytes, &graph_bytes)) {
+      fail("element or byte count of the output or filters, or the graph's byte total, "
+           "overflows int64_t");
     }
   }
   if (g.size() == 0) {

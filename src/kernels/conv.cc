@@ -69,6 +69,26 @@ class ScratchVec {
   std::vector<T> own_;
 };
 
+// The via-F16 producer for one QUInt8 image: dequantizes it to F16 through a
+// 256-entry table filled with the exact per-element expression
+// Half(in_qp.Dequantize(q)), then im2cols it. The per-call path and
+// Conv2DQU8ViaF16StageCols share it, so their columns are byte-identical.
+void DequantizeIm2ColF16(const uint8_t* img, const Shape& is, const QuantParams& in_qp,
+                         const Conv2DParams& p, Half* img16, Half* cols) {
+  Half lut[256];
+  for (int q = 0; q < 256; ++q) {
+    lut[q] = Half(in_qp.Dequantize(static_cast<uint8_t>(q)));
+  }
+  parallel::ParallelFor(0, is.c * is.h * is.w, parallel::GrainForOps(1.0),
+                        [&](int64_t b, int64_t e) {
+                          for (int64_t i = b; i < e; ++i) {
+                            img16[i] = lut[img[i]];
+                          }
+                        });
+  Im2ColF16(img16, static_cast<int>(is.c), static_cast<int>(is.h), static_cast<int>(is.w), p,
+            cols);
+}
+
 }  // namespace
 
 void Conv2DF32(const Tensor& input, const Tensor& filters, const Tensor& bias,
@@ -358,20 +378,14 @@ void Conv2DQU8ViaF16(const Tensor& input, const Tensor& filters, const Tensor& b
   ScratchVec<Half> out16(aux.scratch, static_cast<size_t>((oc_end - oc_begin) * spatial));
   const int64_t img_elems = is.c * is.h * is.w;
   const int64_t out_elems = (oc_end - oc_begin) * spatial;
+  const simd::GemmMicroKernels& mk = simd::ActiveGemmMicroKernels();
   for (int64_t ni = 0; ni < is.n; ++ni) {
     const Half* cols_ptr;
     if (staged != nullptr) {
       cols_ptr = staged + ni * k * spatial;
     } else {
-      const uint8_t* img = input.Data<uint8_t>() + ni * img_elems;
-      parallel::ParallelFor(0, img_elems, parallel::GrainForOps(1.0),
-                            [&](int64_t b, int64_t e) {
-                              for (int64_t i = b; i < e; ++i) {
-                                img16.data()[i] = Half(in_qp.Dequantize(img[i]));
-                              }
-                            });
-      Im2ColF16(img16.data(), static_cast<int>(is.c), static_cast<int>(is.h),
-                static_cast<int>(is.w), p, cols.data());
+      DequantizeIm2ColF16(input.Data<uint8_t>() + ni * img_elems, is, in_qp, p, img16.data(),
+                          cols.data());
       cols_ptr = cols.data();
     }
     GemmF16(w16, cols_ptr, out16.data(), oc_end - oc_begin, spatial, k, bias16, p.relu,
@@ -380,9 +394,8 @@ void Conv2DQU8ViaF16(const Tensor& input, const Tensor& filters, const Tensor& b
     uint8_t* out = output.Data<uint8_t>() + output.shape().Offset(ni, oc_begin, 0, 0);
     parallel::ParallelFor(0, out_elems, parallel::GrainForOps(1.0),
                           [&](int64_t b, int64_t e) {
-                            for (int64_t i = b; i < e; ++i) {
-                              out[i] = out_qp.Quantize(out16.data()[i].ToFloat());
-                            }
+                            mk.f16_to_qu8(out16.data() + b, e - b, out_qp.scale,
+                                          out_qp.zero_point, out + b);
                           });
   }
 }
@@ -405,17 +418,8 @@ const Half* Conv2DQU8ViaF16StageCols(const Tensor& input, const Shape& filter_sh
   Half* cols = arena->AllocN<Half>(static_cast<size_t>(is.n * k * spatial));
   Half* img16 = arena->AllocN<Half>(static_cast<size_t>(img_elems));
   for (int64_t ni = 0; ni < is.n; ++ni) {
-    const uint8_t* img = input.Data<uint8_t>() + ni * img_elems;
-    // Same dequantize expression and im2col as the per-call path, so the
-    // staged columns are byte-identical to what each slice would rebuild.
-    parallel::ParallelFor(0, img_elems, parallel::GrainForOps(1.0),
-                          [&](int64_t b, int64_t e) {
-                            for (int64_t i = b; i < e; ++i) {
-                              img16[i] = Half(in_qp.Dequantize(img[i]));
-                            }
-                          });
-    Im2ColF16(img16, static_cast<int>(is.c), static_cast<int>(is.h),
-              static_cast<int>(is.w), p, cols + ni * k * spatial);
+    DequantizeIm2ColF16(input.Data<uint8_t>() + ni * img_elems, is, in_qp, p, img16,
+                        cols + ni * k * spatial);
   }
   return cols;
 }

@@ -5,41 +5,51 @@
 #include <string>
 
 #include "kernels/simd_internal.h"
+#include "quant/quantize.h"
 
 namespace ulayer::simd {
 namespace {
 
-Isa DetectBestIsa() {
-#if defined(__x86_64__) || defined(__i386__)
-  // AVX2 is only useful to us together with F16C (the F16 tile converts per
-  // step); every AVX2 part ships F16C, but check both to be safe.
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c")) {
-    return Isa::kAvx2;
+// The table an ISA's translation unit compiled to: nullptr when the compiler
+// lacked its flags (see simd_internal.h). Scalar has no table of its own.
+const GemmMicroKernels* CompiledTable(Isa isa) {
+  switch (isa) {
+    case Isa::kScalar:
+      return nullptr;
+    case Isa::kSse41:
+      return detail::Sse41Table();
+    case Isa::kAvx2:
+      return detail::Avx2Table();
+    case Isa::kAvx512:
+      return detail::Avx512Table();
+    case Isa::kNeon:
+      return detail::NeonTable();
   }
-  if (__builtin_cpu_supports("sse4.1")) {
-    return Isa::kSse41;
-  }
-#elif defined(__aarch64__)
-  return Isa::kNeon;
-#endif
-  return Isa::kScalar;
+  return nullptr;
 }
 
-bool Supported(Isa isa) {
+// Whether the CPU reports every feature the ISA's table executes.
+bool CpuHas(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return true;
+#if defined(__x86_64__) || defined(__i386__)
     case Isa::kSse41:
-#if defined(__x86_64__) || defined(__i386__)
       return __builtin_cpu_supports("sse4.1") != 0;
-#else
-      return false;
-#endif
     case Isa::kAvx2:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx2") != 0 &&
-             __builtin_cpu_supports("f16c") != 0;
+      // The F16 tile converts per step with F16C; every AVX2 part ships it,
+      // but check both to be safe.
+      return __builtin_cpu_supports("avx2") != 0 && __builtin_cpu_supports("f16c") != 0;
+    case Isa::kAvx512:
+      // The table reuses the AVX2 tiles for every slot but the F16 ones.
+      return CpuHas(Isa::kAvx2) && __builtin_cpu_supports("avx512f") != 0 &&
+             __builtin_cpu_supports("avx512bw") != 0 &&
+             __builtin_cpu_supports("avx512vl") != 0 &&
+             __builtin_cpu_supports("avx512fp16") != 0;
 #else
+    case Isa::kSse41:
+    case Isa::kAvx2:
+    case Isa::kAvx512:
       return false;
 #endif
     case Isa::kNeon:
@@ -52,7 +62,26 @@ bool Supported(Isa isa) {
   return false;
 }
 
-// ULAYER_SIMD=scalar|sse41|avx2|neon|auto. Read once; unknown values and
+// Usable: the CPU can run it and its table exists, so dispatch never hands
+// out the scalar table in place of a stubbed tier.
+bool Supported(Isa isa) {
+  return isa == Isa::kScalar || (CpuHas(isa) && CompiledTable(isa) != nullptr);
+}
+
+// Best first.
+constexpr Isa kIsaPreference[] = {Isa::kAvx512, Isa::kAvx2, Isa::kNeon, Isa::kSse41,
+                                  Isa::kScalar};
+
+Isa DetectBestIsa() {
+  for (const Isa isa : kIsaPreference) {
+    if (Supported(isa)) {
+      return isa;
+    }
+  }
+  return Isa::kScalar;
+}
+
+// ULAYER_SIMD=scalar|sse41|avx2|avx512|neon|auto. Read once; unknown values and
 // unsupported requests fall back to detection (a typo must not change
 // results, only possibly speed).
 Isa ResolveFromEnv() {
@@ -67,6 +96,8 @@ Isa ResolveFromEnv() {
       req = Isa::kSse41;
     } else if (v == "avx2") {
       req = Isa::kAvx2;
+    } else if (v == "avx512") {
+      req = Isa::kAvx512;
     } else if (v == "neon") {
       req = Isa::kNeon;
     } else {
@@ -92,6 +123,8 @@ const char* IsaName(Isa isa) {
       return "sse41";
     case Isa::kAvx2:
       return "avx2";
+    case Isa::kAvx512:
+      return "avx512";
     case Isa::kNeon:
       return "neon";
   }
@@ -108,7 +141,7 @@ Isa ActiveIsa() {
 
 std::vector<Isa> SupportedIsas() {
   std::vector<Isa> out;
-  for (Isa isa : {Isa::kAvx2, Isa::kNeon, Isa::kSse41, Isa::kScalar}) {
+  for (const Isa isa : kIsaPreference) {
     if (Supported(isa)) {
       out.push_back(isa);
     }
@@ -254,30 +287,22 @@ void F16GemvScalar(const Half* a, int64_t lda, const Half* x, int64_t rows, int6
   }
 }
 
+void F16ToQu8Scalar(const Half* in, int64_t n, float scale, int32_t zp, uint8_t* out) {
+  const QuantParams qp{scale, zp};
+  for (int64_t i = 0; i < n; ++i) {
+    out[i] = qp.Quantize(in[i].ToFloat());
+  }
+}
+
 }  // namespace detail
 
 const GemmMicroKernels& GemmMicroKernelsFor(Isa isa) {
-  static const GemmMicroKernels scalar = {Isa::kScalar,         detail::Qu8Scalar,
-                                          detail::F32Scalar,     detail::F16Scalar,
-                                          detail::Qu8GemvScalar, detail::F16GemvScalar};
-  if (!Supported(isa)) {
-    return scalar;  // Never hand out a table the CPU cannot execute.
-  }
-  const GemmMicroKernels* t = nullptr;
-  switch (isa) {
-    case Isa::kScalar:
-      break;
-    case Isa::kSse41:
-      t = detail::Sse41Table();
-      break;
-    case Isa::kAvx2:
-      t = detail::Avx2Table();
-      break;
-    case Isa::kNeon:
-      t = detail::NeonTable();
-      break;
-  }
-  return t != nullptr ? *t : scalar;
+  static const GemmMicroKernels scalar = {
+      Isa::kScalar,          detail::Qu8Scalar,     detail::F32Scalar,
+      detail::F16Scalar,     detail::Qu8GemvScalar, detail::F16GemvScalar,
+      detail::F16ToQu8Scalar};
+  // Never hand out a table the CPU cannot execute.
+  return Supported(isa) && isa != Isa::kScalar ? *CompiledTable(isa) : scalar;
 }
 
 const GemmMicroKernels& ActiveGemmMicroKernels() {

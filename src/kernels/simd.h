@@ -1,7 +1,8 @@
 // Runtime SIMD dispatch for the GEMM micro-kernels (DESIGN.md Section 13).
 //
-// One binary carries scalar, SSE4.1, AVX2(+F16C) and NEON variants of the
-// inner GEMM tiles; the best ISA the CPU supports is picked once at startup
+// One binary carries scalar, SSE4.1, AVX2(+F16C), AVX-512 (with FP16) and
+// NEON variants of the inner GEMM tiles; the best ISA the CPU supports is
+// picked once at startup
 // (overridable with the ULAYER_SIMD environment variable, or ForceIsa() from
 // tests). Every variant implements the *same arithmetic contract* as the
 // scalar reference — byte-identical QU8/F32 results and value-identical
@@ -15,16 +16,17 @@
 
 namespace ulayer::simd {
 
-enum class Isa { kScalar, kSse41, kAvx2, kNeon };
+enum class Isa { kScalar, kSse41, kAvx2, kAvx512, kNeon };
 
-// Human-readable name ("scalar", "sse41", "avx2", "neon") — recorded in
-// BENCH_kernels.json provenance.
+// Human-readable name ("scalar", "sse41", "avx2", "avx512", "neon") —
+// recorded in BENCH_kernels.json provenance.
 const char* IsaName(Isa isa);
 
 // The ISA micro-kernels dispatch to. Resolution order: ForceIsa() override if
-// set, else the ULAYER_SIMD env var (scalar|sse41|avx2|neon|auto, read once),
-// else the best ISA the CPU reports. Requests for an unsupported ISA fall
-// back to the best supported one.
+// set, else the ULAYER_SIMD env var (scalar|sse41|avx2|avx512|neon|auto, read
+// once), else the best ISA the CPU reports. Requests for an unsupported ISA
+// fall back to the best supported one. An ISA is supported only when the CPU
+// reports its features and its translation unit was compiled in.
 Isa ActiveIsa();
 
 // All ISAs usable on this machine, best first; always ends with kScalar.
@@ -72,8 +74,8 @@ struct GemmMicroKernels {
 
   // F16: per element, c = RN16(c + RN16(a*b)) ascending k — every
   // multiply-accumulate rounds to binary16 exactly like software Half
-  // arithmetic (hardware F16C conversions implement the identical
-  // round-to-nearest-even; see DESIGN.md Section 13).
+  // arithmetic (F16C conversions and native AVX-512 FP16 arithmetic both
+  // implement the identical round-to-nearest-even; see DESIGN.md Section 13).
   void (*f16)(const Half* const* a_rows, int64_t a_kstride, const Half* b,
               int64_t ldb, int64_t rows, int64_t jn, int64_t k, Half* const* c_rows);
 
@@ -86,6 +88,10 @@ struct GemmMicroKernels {
   // ascending kk, the f16 contract at jn == 1.
   void (*f16_gemv)(const Half* a, int64_t lda, const Half* x, int64_t rows, int64_t k,
                    Half* y);
+
+  // F16 -> QU8 requantize: out[i] = QuantParams{scale, zp}.Quantize(in[i].ToFloat())
+  // for i in [0, n), byte-identical to that scalar expression (NaN maps to 0).
+  void (*f16_to_qu8)(const Half* in, int64_t n, float scale, int32_t zp, uint8_t* out);
 };
 
 // The table for ActiveIsa(). Resolve once per kernel call (cheap), before

@@ -22,19 +22,6 @@ namespace {
 
 constexpr int kRoundNearest = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
 
-// Every per-row loop below runs R <= 4 iterations and is forced fully
-// unrolled: without the pragma GCC 12 at -O2 leaves the loops rolled, which
-// keeps the __m256 accumulator arrays addressable — they spill to the stack
-// and the hot k loop round-trips every accumulator through memory per step
-// (verified in the generated assembly). Unrolling scalarizes the arrays into
-// ymm registers. It does not reorder any arithmetic: rows are independent and
-// each row's op sequence is unchanged, so bit-identity is preserved.
-#define ULAYER_UNROLL_R _Pragma("GCC unroll 4")
-
-// Helpers called from the unrolled loops must inline, or the accumulator
-// arrays they take by reference become addressable again.
-#define ULAYER_INLINE inline __attribute__((always_inline))
-
 // ---- Partial loads and stores for the remainder blocks ---------------------
 
 // Bytes [0, n) at p, n <= 8, zero-extended. The branches depend only on n,
@@ -646,8 +633,8 @@ void F16GemvAvx2(const Half* a, int64_t lda, const Half* x, int64_t rows, int64_
 }  // namespace
 
 const GemmMicroKernels* Avx2Table() {
-  static const GemmMicroKernels table = {Isa::kAvx2, Qu8Avx2,     F32Avx2,
-                                         F16Avx2,    Qu8GemvAvx2, F16GemvAvx2};
+  static const GemmMicroKernels table = {Isa::kAvx2, Qu8Avx2,     F32Avx2,       F16Avx2,
+                                         Qu8GemvAvx2, F16GemvAvx2, F16ToQu8Scalar};
   return &table;
 }
 

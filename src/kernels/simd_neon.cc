@@ -12,11 +12,6 @@
 namespace ulayer::simd::detail {
 namespace {
 
-// Force full unroll of the R <= 4 per-row loops so the accumulator arrays
-// scalarize into vector registers instead of spilling to the stack (GCC 12
-// at -O2 leaves constant-trip loops rolled; see simd_avx2.cc).
-#define ULAYER_UNROLL_R _Pragma("GCC unroll 4")
-
 template <int R>
 void Qu8Tile(const uint8_t* const* a_rows, int64_t a_kstride, const int32_t* a_zp,
              const uint8_t* b, int64_t ldb, int64_t jn, int64_t k, int32_t* acc,
@@ -168,7 +163,8 @@ void F32Neon(const float* const* a_rows, int64_t a_kstride, const float* b,
 
 const GemmMicroKernels* NeonTable() {
   static const GemmMicroKernels table = {
-      Isa::kNeon, Qu8Neon, F32Neon, F16Scalar, Qu8GemvScalar, F16GemvScalar};
+      Isa::kNeon,    Qu8Neon,       F32Neon,       F16Scalar,
+      Qu8GemvScalar, F16GemvScalar, F16ToQu8Scalar};
   return &table;
 }
 

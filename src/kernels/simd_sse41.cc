@@ -14,11 +14,6 @@
 namespace ulayer::simd::detail {
 namespace {
 
-// Force full unroll of the R <= 4 per-row loops so the accumulator arrays
-// scalarize into vector registers instead of spilling to the stack (GCC 12
-// at -O2 leaves constant-trip loops rolled; see simd_avx2.cc).
-#define ULAYER_UNROLL_R _Pragma("GCC unroll 4")
-
 // Unaligned 4-byte uint8 load widened to 4x int32.
 inline __m128i LoadU8x4(const uint8_t* p) {
   int32_t raw;
@@ -216,7 +211,8 @@ void F32Sse41(const float* const* a_rows, int64_t a_kstride, const float* b,
 
 const GemmMicroKernels* Sse41Table() {
   static const GemmMicroKernels table = {
-      Isa::kSse41, Qu8Sse41, F32Sse41, F16Scalar, Qu8GemvScalar, F16GemvScalar};
+      Isa::kSse41,   Qu8Sse41,      F32Sse41,      F16Scalar,
+      Qu8GemvScalar, F16GemvScalar, F16ToQu8Scalar};
   return &table;
 }
 

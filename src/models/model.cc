@@ -6,14 +6,11 @@
 #include "tensor/rng.h"
 
 namespace ulayer {
-namespace {
 
 bool IsParameterized(LayerKind k) {
   return k == LayerKind::kConv || k == LayerKind::kDepthwiseConv ||
          k == LayerKind::kFullyConnected;
 }
-
-}  // namespace
 
 Shape FilterShape(const Graph& g, const Node& n) {
   const Shape& in = g.node(n.inputs[0]).out_shape;

@@ -39,6 +39,10 @@ struct Model {
   int64_t ParameterCount() const;
 };
 
+// Whether a layer of this kind carries filters and a bias (conv, depthwise
+// conv, fully connected).
+bool IsParameterized(LayerKind k);
+
 // Filter tensor shape of a parameterized node, derived from the graph alone
 // (no materialized weights needed): depthwise -> [C, 1, KH, KW], conv/FC ->
 // [OC, IC, KH, KW]. Shared by weight materialization, scratch sizing and the

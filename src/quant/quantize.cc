@@ -13,7 +13,9 @@ namespace ulayer {
 
 uint8_t QuantParams::Quantize(float real) const {
   const float q = std::nearbyint(real / scale) + static_cast<float>(zero_point);
-  return static_cast<uint8_t>(std::clamp(q, 0.0f, 255.0f));
+  // std::max(0.0f, NaN) is 0.0f, so a NaN maps to 0 rather than reaching the
+  // (undefined) float -> uint8_t conversion.
+  return static_cast<uint8_t>(std::min(std::max(0.0f, q), 255.0f));
 }
 
 QuantParams ChooseQuantParams(float min_val, float max_val) {

@@ -22,6 +22,8 @@ struct QuantParams {
   float Dequantize(uint8_t q) const {
     return scale * static_cast<float>(static_cast<int32_t>(q) - zero_point);
   }
+  // round_half_even(real / scale) + zero_point, clamped to [0, 255]; NaN
+  // maps to 0.
   uint8_t Quantize(float real) const;
 
   bool operator==(const QuantParams&) const = default;

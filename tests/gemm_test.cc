@@ -9,6 +9,8 @@
 
 #include "kernels/pack.h"
 #include "kernels/simd.h"
+#include "quant/half.h"
+#include "quant/quantize.h"
 #include "tensor/rng.h"
 
 namespace ulayer {
@@ -228,10 +230,11 @@ struct GemmShape {
   int64_t m, n, k;
 };
 
-// The fixed cases, then the grid where the remainder blocks and the GEMV
+// The fixed cases, then the grids where the remainder blocks and the GEMV
 // slots engage: ragged n around the 8- and 16-wide blocks, m around the 4-row
 // tiles and 8-row GEMV groups, odd and even k around the k-pair and 8-k
-// GEMV chunks, plus one classifier-sized GEMV.
+// GEMV chunks, plus one classifier-sized GEMV; then the AVX-512 F16 tile's
+// block, remainder and strip edges.
 std::vector<GemmShape> DispatchShapes() {
   std::vector<GemmShape> shapes = {
       {1, 1, 1},     // single element
@@ -254,6 +257,15 @@ std::vector<GemmShape> DispatchShapes() {
       }
     }
   }
+  // Every row count, with n around the AVX-512 F16 tile's 32-lane masked
+  // remainder and 64-column block and k around its 256-step A strip.
+  for (const int64_t n : {1, 31, 32, 33, 63, 64, 65, 127}) {
+    for (const int64_t k : {255, 256, 257, 513}) {
+      for (int64_t m = 1; m <= simd::kRowTile; ++m) {
+        shapes.push_back({m, n, k});
+      }
+    }
+  }
   return shapes;
 }
 
@@ -267,6 +279,23 @@ TEST(SimdDispatchTest, SupportedIsasEndsWithScalar) {
   const auto isas = simd::SupportedIsas();
   ASSERT_FALSE(isas.empty());
   EXPECT_EQ(isas.back(), simd::Isa::kScalar);
+}
+
+// Forcing the AVX-512 tier selects it where it is supported (listed first,
+// as the best tier) and otherwise falls back to the best supported tier,
+// never to a table the CPU cannot run.
+TEST(SimdDispatchTest, ForcedAvx512FallsBackWhereUnsupported) {
+  EXPECT_STREQ(simd::IsaName(simd::Isa::kAvx512), "avx512");
+  const auto isas = simd::SupportedIsas();
+  const bool has = std::find(isas.begin(), isas.end(), simd::Isa::kAvx512) != isas.end();
+  if (has) {
+    EXPECT_EQ(isas.front(), simd::Isa::kAvx512);
+  }
+  EXPECT_EQ(simd::GemmMicroKernelsFor(simd::Isa::kAvx512).isa,
+            has ? simd::Isa::kAvx512 : simd::Isa::kScalar);
+  const IsaGuard g(simd::Isa::kAvx512);
+  EXPECT_EQ(simd::ActiveIsa(), has ? simd::Isa::kAvx512 : isas.front());
+  EXPECT_EQ(simd::ActiveGemmMicroKernels().isa, simd::ActiveIsa());
 }
 
 TEST(SimdDispatchTest, F32ByteIdenticalAcrossIsas) {
@@ -483,6 +512,84 @@ TEST(SimdDispatchTest, QU8AccumulatorsIdenticalAcrossIsasAtExtremeZeroPoints) {
         if (s.n == 1) {
           EXPECT_EQ(want, run(mk, true))
               << simd::IsaName(isa) << " qu8_gemv zp=" << zp << " m=" << s.m << " k=" << s.k;
+        }
+      }
+    }
+  }
+}
+
+// Chain steps whose rounding is the whole point: products and sums that land
+// on binary16 subnormals, overflow to +-inf, and exact ties that must round
+// to even. Each case is one row c = RN16(c0 + RN16(a*b)) (k = 1) over 65
+// columns, so the 64-column block and the masked remainder both see it, and
+// every ISA must produce the stated bits.
+TEST(SimdDispatchTest, F16RoundingEdgesMatchExpectedBits) {
+  struct Case {
+    uint16_t c0, a, b, want;
+    const char* what;
+  };
+  const Case cases[] = {
+      {0x0000, 0x0C00, 0x0C00, 0x0001, "2^-12 * 2^-12 = 2^-24, the least subnormal"},
+      {0x0000, 0x0800, 0x0C00, 0x0000, "2^-25 ties between 0 and 2^-24: even is 0"},
+      {0x0000, 0x0E00, 0x0C00, 0x0002, "1.5 * 2^-24 ties between 2^-24 and 2^-23: even is 2^-23"},
+      {0x0001, 0x0C00, 0x0C00, 0x0002, "subnormal + subnormal = 2^-23"},
+      {0x8000, 0x8800, 0x0C00, 0x8000, "-0 + (-2^-25 -> -0) stays -0"},
+      {0x0000, 0x8800, 0x0C00, 0x0000, "+0 + -0 is +0"},
+      {0x0000, 0x5C00, 0x5C00, 0x7C00, "256 * 256 = 65536 overflows to +inf"},
+      {0x0000, 0xDC00, 0x5C00, 0xFC00, "-256 * 256 overflows to -inf"},
+      {0x7BFF, 0x4C00, 0x3C00, 0x7C00, "65504 + 16 = 65520 ties to even: +inf"},
+      {0x7BFF, 0x4800, 0x3C00, 0x7BFF, "65504 + 8 rounds back to 65504"},
+      {0x6800, 0x3C00, 0x3C00, 0x6800, "2048 + 1 ties between 2048 and 2050: 2048"},
+      {0x6801, 0x3C00, 0x3C00, 0x6802, "2050 + 1 ties between 2050 and 2052: 2052"},
+      {0x0000, 0x3C01, 0x3E00, 0x3E02, "(1 + 2^-10) * 1.5 ties in the product: 1.5 + 2^-9"},
+  };
+  constexpr int64_t kCols = 65;
+  for (const Case& cs : cases) {
+    const Half a = Half::FromBits(cs.a);
+    const std::vector<Half> b(kCols, Half::FromBits(cs.b));
+    const Half* a_rows[1] = {&a};
+    for (const simd::Isa isa : simd::SupportedIsas()) {
+      std::vector<Half> c(kCols, Half::FromBits(cs.c0));
+      Half* c_rows[1] = {c.data()};
+      simd::GemmMicroKernelsFor(isa).f16(a_rows, 1, b.data(), kCols, 1, kCols, 1, c_rows);
+      for (int64_t j = 0; j < kCols; ++j) {
+        ASSERT_EQ(c[static_cast<size_t>(j)].bits(), cs.want)
+            << simd::IsaName(isa) << " j=" << j << ": " << cs.what;
+      }
+    }
+  }
+}
+
+// The requantize slot on every binary16 pattern (subnormals, infinities and
+// NaNs included) against QuantParams::Quantize, over scales from 1e-8 to 123
+// and zero points from 0 to 255. Odd-length slices from an exactly sized
+// buffer exercise the masked tail, so an ASan build catches a tail that
+// touches a byte past n.
+TEST(SimdDispatchTest, F16ToQu8MatchesQuantizeOnEveryHalf) {
+  std::vector<Half> all(65536);
+  for (size_t i = 0; i < all.size(); ++i) {
+    all[i] = Half::FromBits(static_cast<uint16_t>(i));
+  }
+  const float scales[] = {1e-8f, 1e-3f, 0.0078125f, 0.1f, 1.0f, 3.7f, 123.0f};
+  const int32_t zps[] = {0, 1, 128, 254, 255};
+  for (const float scale : scales) {
+    for (const int32_t zp : zps) {
+      const QuantParams qp{scale, zp};
+      std::vector<uint8_t> want(all.size());
+      for (size_t i = 0; i < all.size(); ++i) {
+        want[i] = qp.Quantize(all[i].ToFloat());
+      }
+      for (const simd::Isa isa : simd::SupportedIsas()) {
+        const simd::GemmMicroKernels& mk = simd::GemmMicroKernelsFor(isa);
+        std::vector<uint8_t> got(all.size(), 0xA5);
+        mk.f16_to_qu8(all.data(), static_cast<int64_t>(all.size()), scale, zp, got.data());
+        ASSERT_EQ(want, got) << simd::IsaName(isa) << " scale=" << scale << " zp=" << zp;
+        for (const int64_t n : {1, 15, 17, 33}) {
+          const std::vector<Half> in(all.begin() + 0x7BF0, all.begin() + 0x7BF0 + n);
+          std::vector<uint8_t> out(static_cast<size_t>(n), 0xA5);
+          mk.f16_to_qu8(in.data(), n, scale, zp, out.data());
+          EXPECT_TRUE(std::equal(out.begin(), out.end(), want.begin() + 0x7BF0))
+              << simd::IsaName(isa) << " n=" << n << " scale=" << scale << " zp=" << zp;
         }
       }
     }

@@ -122,6 +122,22 @@ TEST(IoTest, RejectsOutOfDomainLayers) {
                ParseError);
   // ...and a dimension beyond it is rejected at the input.
   EXPECT_THROW(GraphFromText("ulayer-graph v1\ninput in 1 1 2147483648 1\n"), ParseError);
+  // In-range dimensions whose element count overflows int64_t, whose filter
+  // bytes do, or whose bytes only overflow once summed over the graph, are
+  // rejected on the line that adds them.
+  const std::pair<const char*, const char*> overflows[] = {
+      {"ulayer-graph v1\ninput in 1 2147483647 2147483647 2147483647\nrelu r 0\n", "line 2:"},
+      {"ulayer-graph v1\ninput in 1 2147483647 1 1\nfc f 0 2147483647 0\n", "line 3:"},
+      {"ulayer-graph v1\ninput in 1 1 2147483647 1073741823\nrelu r 0\n", "line 3:"},
+  };
+  for (const auto& [text, where] : overflows) {
+    try {
+      GraphFromText(text);
+      ADD_FAILURE() << "parsed: " << text;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos) << e.what();
+    }
+  }
   // Concat inputs must agree outside the channel axis; add inputs entirely.
   const std::string two = head + "pool p 0 max 2 2 0 0\n";
   EXPECT_THROW(GraphFromText(two + "concat c 2 0 1\n"), ParseError);

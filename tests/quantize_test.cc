@@ -45,6 +45,16 @@ TEST(QuantParamsTest, QuantizeSaturates) {
   EXPECT_EQ(qp.Quantize(-100.0f), 0);
 }
 
+// Infinities saturate like any out-of-range value; NaN maps to 0 instead of
+// reaching an undefined float -> uint8_t conversion.
+TEST(QuantParamsTest, QuantizeMapsInfinitiesToEndsAndNanToZero) {
+  const QuantParams qp{0.5f, 128};
+  EXPECT_EQ(qp.Quantize(std::numeric_limits<float>::infinity()), 255);
+  EXPECT_EQ(qp.Quantize(-std::numeric_limits<float>::infinity()), 0);
+  EXPECT_EQ(qp.Quantize(std::numeric_limits<float>::quiet_NaN()), 0);
+  EXPECT_EQ(qp.Quantize(-std::numeric_limits<float>::quiet_NaN()), 0);
+}
+
 TEST(QuantizeTensorTest, RoundTripErrorBoundedByHalfScale) {
   Tensor t(Shape(1, 4, 8, 8), DType::kF32);
   FillUniform(t, 11, -2.0f, 2.0f);

@@ -13,6 +13,7 @@
 //   ulayer_verify --model mobilenet --single gpu --print-plan
 //   ulayer_verify --model googlenet --faults "gpu.kernel@call:3=device-lost"
 
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -186,13 +187,11 @@ int main(int argc, char** argv) {
     } else if (a == "--config") {
       config_name = next_arg(i, "--config");
     } else if (a == "--threads") {
-      try {
-        cpu_threads = std::stoi(next_arg(i, "--threads"));
-      } catch (const std::exception&) {
-        UsageError("--threads wants an integer");
-      }
-      if (cpu_threads < 0) {
-        UsageError("--threads wants a non-negative integer");
+      // The whole token must be the number: "4abc" is a usage error, not 4.
+      const std::string v = next_arg(i, "--threads");
+      const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), cpu_threads);
+      if (ec != std::errc() || end != v.data() + v.size() || cpu_threads < 0) {
+        UsageError("--threads wants a non-negative integer, got '" + v + "'");
       }
     } else if (a == "--faults") {
       faults_spec = next_arg(i, "--faults");
