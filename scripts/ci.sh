@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # CI pipeline: warnings-as-errors build + tier-1 tests, a kernel-benchmark
-# smoke run (regenerates BENCH_kernels.json and verifies the optimized
-# kernels reproduce the legacy bytes), a forced-scalar rerun of the kernel
-# and analysis suites (ULAYER_SIMD=scalar, exercising the scalar
-# micro-kernels and dispatch fallback), a forced-SSE4.1 rerun of the kernel
-# suites and a forced-AVX2 rerun of the kernel and whole-model suites plus
-# the kernel-benchmark smoke, ASan/UBSan test run, a TSan run of the
-# threaded kernel/integration tests with a multi-thread CPU budget, a
-# static memory-access analysis stage (ulayer_verify --analyze across the
-# full zoo x config x partition-plan matrix, which must report zero A-series
+# smoke run (regenerates BENCH_kernels.json and verifies the dispatched SIMD
+# tier reproduces the scalar table's bytes), a forced-scalar rerun of the
+# kernel and analysis suites (ULAYER_SIMD=scalar, exercising the scalar
+# micro-kernels and dispatch fallback) and a forced-AVX2 rerun of the kernel
+# and whole-model suites plus the kernel-benchmark smoke, ASan/UBSan test
+# run, a TSan run of the threaded kernel/integration tests with a
+# multi-thread CPU budget, a static memory-access analysis stage
+# (ulayer_verify --analyze across the full zoo x config x partition-plan
+# matrix, which must report zero A-series
 # diagnostics), a fault-injection stage (fault_test plus the committed
 # scripts/ci_faults.spec driven through ULAYER_FAULTS, under both
 # sanitizers), a serving-layer stage (serving_bench --quick regenerating
@@ -46,35 +46,30 @@ cmake -B build-werror -S . -DULAYER_WERROR=ON >/dev/null
 cmake --build build-werror -j "$JOBS"
 ctest --test-dir build-werror --output-on-failure -j "$JOBS"
 
-echo "==> [2/12] kernel benchmark smoke (legacy-vs-optimized byte identity)"
-# Fails if any optimized kernel's output differs from the embedded legacy
-# replica; --quick keeps it to one iteration per case.
+echo "==> [2/12] kernel benchmark smoke (dispatched-vs-scalar byte identity)"
+# Times every case on the scalar micro-kernel table and on the dispatched
+# tier, and fails if their output bytes differ; --quick keeps it to one
+# iteration per case.
 ./build-werror/bench/kernel_bench --quick --out BENCH_kernels.json
 
-echo "==> [3/12] forced-ISA runs (ULAYER_SIMD=scalar, sse41 and avx2 dispatch checks)"
+echo "==> [3/12] forced-ISA runs (ULAYER_SIMD=scalar and avx2 dispatch checks)"
 # Re-runs the kernel and analysis suites, and arena_test's golden output
-# digests, with SIMD dispatch forced to the scalar micro-kernels, then
-# repeats the benchmark byte-identity smoke. The QU8/F32 paths are bit-exact
-# across ISAs by contract, so everything that passed stage [1] must pass
-# unchanged; this catches scalar-reference and dispatch-table regressions
-# that the best-tier-only stage [1] would hide. The kernel suites and the
-# golden digests then run once more on the SSE4.1 table, whose F16 tile and
-# GEMV slots are the scalar references, so whole models also run through
-# that mixed table. Where the CPU has AVX-512 FP16, auto dispatch picks the
-# avx512 tier, so the kernel and whole-model suites and the benchmark smoke
-# run once more on the AVX2 table (elsewhere avx2 is already the auto tier,
-# or falls back to the best supported one).
+# digests, with SIMD dispatch forced to the scalar micro-kernels. The QU8/F32
+# paths are bit-exact across ISAs by contract, so everything that passed
+# stage [1] must pass unchanged; this catches scalar-reference and
+# dispatch-table regressions that the best-tier-only stage [1] would hide,
+# and runs whole models on the scalar tier an ARM or pre-AVX2 host would
+# pick. Where the CPU has AVX-512 FP16, auto dispatch picks the avx512 tier,
+# so the kernel and whole-model suites and the benchmark smoke run once more
+# on the AVX2 table (elsewhere avx2 is already the auto tier, or falls back
+# to the best supported one).
 ULAYER_SIMD=scalar ctest --test-dir build-werror --output-on-failure -j "$JOBS" \
   -R 'gemm_test|conv_test|arena_test|im2col_test|analysis_test|integration_test'
-ULAYER_SIMD=sse41 ctest --test-dir build-werror --output-on-failure -j "$JOBS" \
-  -R 'gemm_test|conv_test|arena_test'
 ULAYER_SIMD=avx2 ctest --test-dir build-werror --output-on-failure -j "$JOBS" \
   -R 'gemm_test|conv_test|arena_test|integration_test'
-ULAYER_SIMD=scalar ./build-werror/bench/kernel_bench --quick \
-  --out BENCH_kernels_scalar.json >/dev/null
 ULAYER_SIMD=avx2 ./build-werror/bench/kernel_bench --quick \
   --out BENCH_kernels_avx2.json >/dev/null
-rm -f BENCH_kernels_scalar.json BENCH_kernels_avx2.json
+rm -f BENCH_kernels_avx2.json
 
 echo "==> [4/12] static memory-access analysis: zoo x config x plan matrix"
 # The A5xx/A6xx/A7xx proofs must hold for every model, quantization config

@@ -62,15 +62,8 @@ std::vector<Tensor> ForwardF32(const Model& m, const Tensor& input) {
       }
       case LayerKind::kEltwiseAdd: {
         out = Tensor(n.out_shape, DType::kF32);
-        // Accumulate without ReLU; apply the fused ReLU once at the end.
         EltwiseAddF32(act[static_cast<size_t>(n.inputs[0])], act[static_cast<size_t>(n.inputs[1])],
-                      out, /*relu=*/false);
-        for (size_t i = 2; i < n.inputs.size(); ++i) {
-          EltwiseAddF32(out, act[static_cast<size_t>(n.inputs[i])], out, /*relu=*/false);
-        }
-        if (n.desc.conv.relu) {
-          ReluF32(out);
-        }
+                      out, n.desc.conv.relu);
         break;
       }
       case LayerKind::kSoftmax:

@@ -295,8 +295,11 @@ Graph GraphFromText(const std::string& text) {
       g.AddConcat(name, inputs);
     } else if (op == "add") {
       int relu = 0, count = 0;
-      if (!(ls >> relu >> count) || count < 2) {
+      if (!(ls >> relu >> count)) {
         fail("bad add");
+      }
+      if (count != 2) {
+        fail("add takes exactly 2 inputs, not " + std::to_string(count));
       }
       const std::vector<int> inputs = read_inputs(count, "add");
       for (int id : inputs) {

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "kernels/simd_internal.h"
 #include "quant/quantize.h"
@@ -16,14 +15,10 @@ const GemmMicroKernels* CompiledTable(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return nullptr;
-    case Isa::kSse41:
-      return detail::Sse41Table();
     case Isa::kAvx2:
       return detail::Avx2Table();
     case Isa::kAvx512:
       return detail::Avx512Table();
-    case Isa::kNeon:
-      return detail::NeonTable();
   }
   return nullptr;
 }
@@ -34,8 +29,6 @@ bool CpuHas(Isa isa) {
     case Isa::kScalar:
       return true;
 #if defined(__x86_64__) || defined(__i386__)
-    case Isa::kSse41:
-      return __builtin_cpu_supports("sse4.1") != 0;
     case Isa::kAvx2:
       // The F16 tile converts per step with F16C; every AVX2 part ships it,
       // but check both to be safe.
@@ -47,15 +40,8 @@ bool CpuHas(Isa isa) {
              __builtin_cpu_supports("avx512vl") != 0 &&
              __builtin_cpu_supports("avx512fp16") != 0;
 #else
-    case Isa::kSse41:
     case Isa::kAvx2:
     case Isa::kAvx512:
-      return false;
-#endif
-    case Isa::kNeon:
-#if defined(__aarch64__)
-      return true;
-#else
       return false;
 #endif
   }
@@ -68,9 +54,8 @@ bool Supported(Isa isa) {
   return isa == Isa::kScalar || (CpuHas(isa) && CompiledTable(isa) != nullptr);
 }
 
-// Best first.
-constexpr Isa kIsaPreference[] = {Isa::kAvx512, Isa::kAvx2, Isa::kNeon, Isa::kSse41,
-                                  Isa::kScalar};
+// The one ladder, best first.
+constexpr Isa kIsaPreference[] = {Isa::kAvx512, Isa::kAvx2, Isa::kScalar};
 
 Isa DetectBestIsa() {
   for (const Isa isa : kIsaPreference) {
@@ -81,30 +66,16 @@ Isa DetectBestIsa() {
   return Isa::kScalar;
 }
 
-// ULAYER_SIMD=scalar|sse41|avx2|avx512|neon|auto. Read once; unknown values and
-// unsupported requests fall back to detection (a typo must not change
-// results, only possibly speed).
+// ULAYER_SIMD names a tier as IsaName spells it, or "auto". Read once; "auto",
+// unknown values and unsupported requests fall back to detection (a typo must
+// not change results, only possibly speed).
 Isa ResolveFromEnv() {
   const char* env = std::getenv("ULAYER_SIMD");
-  if (env != nullptr && env[0] != '\0') {
-    const std::string v(env);
-    Isa req = Isa::kScalar;
-    bool known = true;
-    if (v == "scalar") {
-      req = Isa::kScalar;
-    } else if (v == "sse41") {
-      req = Isa::kSse41;
-    } else if (v == "avx2") {
-      req = Isa::kAvx2;
-    } else if (v == "avx512") {
-      req = Isa::kAvx512;
-    } else if (v == "neon") {
-      req = Isa::kNeon;
-    } else {
-      known = v == "auto";  // "auto" and anything else both detect.
-    }
-    if (known && v != "auto" && Supported(req)) {
-      return req;
+  if (env != nullptr) {
+    for (const Isa isa : kIsaPreference) {
+      if (std::strcmp(env, IsaName(isa)) == 0 && Supported(isa)) {
+        return isa;
+      }
     }
   }
   return DetectBestIsa();
@@ -119,14 +90,10 @@ const char* IsaName(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return "scalar";
-    case Isa::kSse41:
-      return "sse41";
     case Isa::kAvx2:
       return "avx2";
     case Isa::kAvx512:
       return "avx512";
-    case Isa::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -156,7 +123,9 @@ void ForceIsa(Isa isa) {
 
 void ResetForcedIsa() { g_forced = false; }
 
-namespace detail {
+// The scalar reference micro-kernels: the arithmetic contract every SIMD
+// tier must reproduce (bit-identical QU8/F32, value-identical F16).
+namespace {
 
 void Qu8Scalar(const uint8_t* const* a_rows, int64_t a_kstride, const int32_t* a_zp,
                const uint8_t* b, int64_t ldb, int64_t rows, int64_t jn, int64_t k,
@@ -287,6 +256,10 @@ void F16GemvScalar(const Half* a, int64_t lda, const Half* x, int64_t rows, int6
   }
 }
 
+}  // namespace
+
+namespace detail {
+
 void F16ToQu8Scalar(const Half* in, int64_t n, float scale, int32_t zp, uint8_t* out) {
   const QuantParams qp{scale, zp};
   for (int64_t i = 0; i < n; ++i) {
@@ -297,10 +270,9 @@ void F16ToQu8Scalar(const Half* in, int64_t n, float scale, int32_t zp, uint8_t*
 }  // namespace detail
 
 const GemmMicroKernels& GemmMicroKernelsFor(Isa isa) {
-  static const GemmMicroKernels scalar = {
-      Isa::kScalar,          detail::Qu8Scalar,     detail::F32Scalar,
-      detail::F16Scalar,     detail::Qu8GemvScalar, detail::F16GemvScalar,
-      detail::F16ToQu8Scalar};
+  static const GemmMicroKernels scalar = {Isa::kScalar,  Qu8Scalar,     F32Scalar,
+                                          F16Scalar,     Qu8GemvScalar, F16GemvScalar,
+                                          detail::F16ToQu8Scalar};
   // Never hand out a table the CPU cannot execute.
   return Supported(isa) && isa != Isa::kScalar ? *CompiledTable(isa) : scalar;
 }

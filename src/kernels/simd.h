@@ -1,12 +1,12 @@
 // Runtime SIMD dispatch for the GEMM micro-kernels (DESIGN.md Section 13).
 //
-// One binary carries scalar, SSE4.1, AVX2(+F16C), AVX-512 (with FP16) and
-// NEON variants of the inner GEMM tiles; the best ISA the CPU supports is
-// picked once at startup
-// (overridable with the ULAYER_SIMD environment variable, or ForceIsa() from
-// tests). Every variant implements the *same arithmetic contract* as the
-// scalar reference — byte-identical QU8/F32 results and value-identical
-// per-step-rounded F16 results — so dispatch never changes output bytes.
+// One binary carries one x86 ladder of inner GEMM tiles: scalar, AVX2(+F16C)
+// and AVX-512 (with FP16). The best tier the CPU supports is picked once at
+// startup (overridable with the ULAYER_SIMD environment variable, or
+// ForceIsa() from tests); an ARM or pre-AVX2 host runs the scalar tier. Every
+// tier implements the *same arithmetic contract* as the scalar reference —
+// byte-identical QU8/F32 results and value-identical per-step-rounded F16
+// results — so dispatch never changes output bytes.
 #pragma once
 
 #include <cstdint>
@@ -16,25 +16,26 @@
 
 namespace ulayer::simd {
 
-enum class Isa { kScalar, kSse41, kAvx2, kAvx512, kNeon };
+enum class Isa { kScalar, kAvx2, kAvx512 };
 
-// Human-readable name ("scalar", "sse41", "avx2", "avx512", "neon") —
-// recorded in BENCH_kernels.json provenance.
+// Human-readable name ("scalar", "avx2", "avx512") — the ULAYER_SIMD value
+// that selects the tier, recorded in BENCH_kernels.json provenance.
 const char* IsaName(Isa isa);
 
 // The ISA micro-kernels dispatch to. Resolution order: ForceIsa() override if
-// set, else the ULAYER_SIMD env var (scalar|sse41|avx2|avx512|neon|auto, read
-// once), else the best ISA the CPU reports. Requests for an unsupported ISA
-// fall back to the best supported one. An ISA is supported only when the CPU
-// reports its features and its translation unit was compiled in.
+// set, else the ULAYER_SIMD env var (scalar|avx2|avx512|auto, read once),
+// else the best ISA the CPU reports. "auto", unknown values and requests for
+// an unsupported ISA fall back to the best supported one. An ISA is supported
+// only when the CPU reports its features and its translation unit was
+// compiled in.
 Isa ActiveIsa();
 
 // All ISAs usable on this machine, best first; always ends with kScalar.
 // Tests iterate this to run the dispatch matrix.
 std::vector<Isa> SupportedIsas();
 
-// Test/CI hook: pin dispatch to `isa` (clamped to a supported ISA) until
-// ResetForcedIsa(). Not thread-safe; call only from test setup.
+// Test and bench hook: pin dispatch to `isa` (clamped to a supported ISA)
+// until ResetForcedIsa(). Not thread-safe; call only while no kernel runs.
 void ForceIsa(Isa isa);
 void ResetForcedIsa();
 
@@ -99,7 +100,7 @@ struct GemmMicroKernels {
 const GemmMicroKernels& ActiveGemmMicroKernels();
 
 // The table for a specific ISA (scalar is always available; unsupported ISAs
-// return the scalar table). Exposed for the bench and dispatch-matrix tests.
+// return the scalar table). Exposed for the dispatch-matrix tests.
 const GemmMicroKernels& GemmMicroKernelsFor(Isa isa);
 
 }  // namespace ulayer::simd

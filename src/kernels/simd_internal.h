@@ -19,30 +19,13 @@
 
 namespace ulayer::simd::detail {
 
-// Scalar reference micro-kernels — the arithmetic contract every SIMD
-// variant must reproduce (bit-identical QU8/F32, value-identical F16).
-// Shared with the SSE4.1 table, which has no F16C and reuses the scalar F16
-// and both scalar GEMVs, and with the NEON table. Every table but AVX-512's
-// uses the scalar F16 -> QU8 requantize.
-void Qu8Scalar(const uint8_t* const* a_rows, int64_t a_kstride, const int32_t* a_zp,
-               const uint8_t* b, int64_t ldb, int64_t rows, int64_t jn, int64_t k,
-               int32_t* acc, int64_t acc_ld);
-void F32Scalar(const float* const* a_rows, int64_t a_kstride, const float* b,
-               int64_t ldb, int64_t rows, int64_t jn, int64_t k, float* const* c_rows);
-void F16Scalar(const Half* const* a_rows, int64_t a_kstride, const Half* b,
-               int64_t ldb, int64_t rows, int64_t jn, int64_t k, Half* const* c_rows);
-void Qu8GemvScalar(const uint8_t* a, int64_t lda, const int32_t* a_zp, const uint8_t* x,
-                   int64_t rows, int64_t k, int32_t* acc, int64_t acc_ld);
-void F16GemvScalar(const Half* a, int64_t lda, const Half* x, int64_t rows, int64_t k,
-                   Half* y);
+// The scalar F16 -> QU8 requantize (simd.cc), shared by the AVX2 table.
 void F16ToQu8Scalar(const Half* in, int64_t n, float scale, int32_t zp, uint8_t* out);
 
 // Per-ISA dispatch tables. Each returns nullptr when the variant is not
 // compiled into this binary: every TU is built on every architecture and
 // stubs its table to nullptr unless its feature macros are defined.
-const GemmMicroKernels* Sse41Table();
 const GemmMicroKernels* Avx2Table();
 const GemmMicroKernels* Avx512Table();
-const GemmMicroKernels* NeonTable();
 
 }  // namespace ulayer::simd::detail

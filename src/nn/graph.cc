@@ -172,7 +172,7 @@ int Graph::AddConcat(std::string name, const std::vector<int>& inputs) {
 }
 
 int Graph::AddEltwiseAdd(std::string name, const std::vector<int>& inputs, bool relu) {
-  assert(inputs.size() >= 2);
+  assert(inputs.size() == 2 && "eltwise add is binary");
   const Shape out = node(inputs[0]).out_shape;
   for ([[maybe_unused]] int in : inputs) {
     assert(node(in).out_shape == out && "eltwise add requires identical shapes");

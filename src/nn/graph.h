@@ -24,7 +24,7 @@ enum class LayerKind : uint8_t {
   kRelu,
   kLrn,
   kConcat,
-  kEltwiseAdd,  // Residual connections (ResNet); inputs share one shape.
+  kEltwiseAdd,  // Residual connections (ResNet): two inputs of one shape.
   kSoftmax,
 };
 
@@ -66,8 +66,8 @@ class Graph {
   int AddRelu(std::string name, int input);
   int AddLrn(std::string name, int input, const LrnParams& p);
   int AddConcat(std::string name, const std::vector<int>& inputs);
-  // Element-wise sum of same-shaped inputs, with optional fused ReLU
-  // (ResNet residual joins).
+  // Element-wise sum of exactly two same-shaped inputs, with optional fused
+  // ReLU (ResNet residual joins).
   int AddEltwiseAdd(std::string name, const std::vector<int>& inputs, bool relu = false);
   int AddSoftmax(std::string name, int input);
 

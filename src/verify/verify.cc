@@ -61,7 +61,7 @@ std::pair<int, int> ExpectedArity(LayerKind k) {
     case LayerKind::kConcat:
       return {1, -1};
     case LayerKind::kEltwiseAdd:
-      return {2, -1};
+      return {2, 2};
     default:
       return {1, 1};
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -275,10 +277,88 @@ bool BytesEqual(const std::vector<T>& a, const std::vector<T>& b) {
          (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
+// Naive oracles: plain loops that state each GEMM's arithmetic contract
+// directly. The dispatch tests below compare the scalar table's output with
+// them byte for byte, so every tier is checked against an independent
+// statement of the contract, not only against the scalar table.
+
+// int32 sum of (a - a_zp)(b - b_zp) plus bias, requantized, ReLU at c_zp.
+std::vector<uint8_t> NaiveGemmQU8(const std::vector<uint8_t>& a, int32_t a_zp,
+                                  const std::vector<uint8_t>& b, int32_t b_zp, int32_t c_zp,
+                                  const RequantScale& rs, const GemmShape& s,
+                                  const std::vector<int32_t>& bias) {
+  std::vector<uint8_t> c(static_cast<size_t>(s.m * s.n));
+  for (int64_t i = 0; i < s.m; ++i) {
+    for (int64_t j = 0; j < s.n; ++j) {
+      int32_t acc = bias[static_cast<size_t>(i)];
+      for (int64_t kk = 0; kk < s.k; ++kk) {
+        acc += (a[static_cast<size_t>(i * s.k + kk)] - a_zp) *
+               (b[static_cast<size_t>(kk * s.n + j)] - b_zp);
+      }
+      c[static_cast<size_t>(i * s.n + j)] =
+          std::max(RequantizeOne(acc, rs, c_zp), static_cast<uint8_t>(c_zp));
+    }
+  }
+  return c;
+}
+
+// i-k-j from the bias, skipping a == 0 terms, then ReLU.
+std::vector<float> NaiveGemmF32(const std::vector<float>& a, const std::vector<float>& b,
+                                const GemmShape& s, const std::vector<float>& bias) {
+  std::vector<float> c(static_cast<size_t>(s.m * s.n));
+  for (int64_t i = 0; i < s.m; ++i) {
+    float* crow = c.data() + i * s.n;
+    std::fill(crow, crow + s.n, bias[static_cast<size_t>(i)]);
+    for (int64_t kk = 0; kk < s.k; ++kk) {
+      const float av = a[static_cast<size_t>(i * s.k + kk)];
+      if (av == 0.0f) {
+        continue;
+      }
+      for (int64_t j = 0; j < s.n; ++j) {
+        crow[j] += av * b[static_cast<size_t>(kk * s.n + j)];
+      }
+    }
+    for (int64_t j = 0; j < s.n; ++j) {
+      crow[j] = std::max(crow[j], 0.0f);
+    }
+  }
+  return c;
+}
+
+// Per element, a Half chain from the bias: c = RN16(c + RN16(a*b)) over
+// ascending k, then ReLU.
+std::vector<Half> NaiveGemmF16(const std::vector<Half>& a, const std::vector<Half>& b,
+                               const GemmShape& s, const std::vector<Half>& bias) {
+  const Half zero(0.0f);
+  std::vector<Half> c(static_cast<size_t>(s.m * s.n));
+  for (int64_t i = 0; i < s.m; ++i) {
+    for (int64_t j = 0; j < s.n; ++j) {
+      Half acc = bias[static_cast<size_t>(i)];
+      for (int64_t kk = 0; kk < s.k; ++kk) {
+        acc += a[static_cast<size_t>(i * s.k + kk)] * b[static_cast<size_t>(kk * s.n + j)];
+      }
+      c[static_cast<size_t>(i * s.n + j)] = acc < zero ? zero : acc;
+    }
+  }
+  return c;
+}
+
+// One ladder, best first: avx512, avx2, scalar. An ARM or pre-AVX2 host lists
+// scalar alone.
 TEST(SimdDispatchTest, SupportedIsasEndsWithScalar) {
+  const char* const ladder[] = {"avx512", "avx2", "scalar"};
   const auto isas = simd::SupportedIsas();
   ASSERT_FALSE(isas.empty());
   EXPECT_EQ(isas.back(), simd::Isa::kScalar);
+  // Each listed ISA is a rung strictly below the one listed before it.
+  const char* const* rung = std::begin(ladder);
+  for (const simd::Isa isa : isas) {
+    const std::string name = simd::IsaName(isa);
+    rung = std::find_if(rung, std::end(ladder), [&](const char* r) { return name == r; });
+    ASSERT_NE(rung, std::end(ladder)) << name << " is not a rung below the previous one";
+    ++rung;
+    EXPECT_EQ(simd::GemmMicroKernelsFor(isa).isa, isa) << name;
+  }
 }
 
 // Forcing the AVX-512 tier selects it where it is supported (listed first,
@@ -315,6 +395,8 @@ TEST(SimdDispatchTest, F32ByteIdenticalAcrossIsas) {
       const IsaGuard g(simd::Isa::kScalar);
       GemmF32(a.data(), b.data(), want.data(), s.m, s.n, s.k, bias.data(), true);
     }
+    EXPECT_TRUE(BytesEqual(NaiveGemmF32(a, b, s, bias), want))
+        << "scalar vs naive m=" << s.m << " n=" << s.n << " k=" << s.k;
     for (const simd::Isa isa : simd::SupportedIsas()) {
       const IsaGuard g(isa);
       EXPECT_EQ(simd::ActiveGemmMicroKernels().isa, isa);
@@ -347,6 +429,8 @@ TEST(SimdDispatchTest, F16BitIdenticalAcrossIsas) {
       const IsaGuard g(simd::Isa::kScalar);
       GemmF16(a.data(), b.data(), want.data(), s.m, s.n, s.k, bias.data(), true);
     }
+    EXPECT_TRUE(BytesEqual(NaiveGemmF16(a, b, s, bias), want))
+        << "scalar vs naive m=" << s.m << " n=" << s.n << " k=" << s.k;
     for (const simd::Isa isa : simd::SupportedIsas()) {
       const IsaGuard g(isa);
       std::vector<Half> got(want.size(), Half(-1.0f));
@@ -380,25 +464,33 @@ TEST(SimdDispatchTest, QU8ByteIdenticalAcrossIsas) {
                             static_cast<double>(c_qp.scale));
     std::vector<uint8_t> ap(static_cast<size_t>(PackedPanelElems(s.m, s.k)));
     PackRowPanels(a.data(), s.m, s.k, ap.data());
+    std::vector<int32_t> rowsum(static_cast<size_t>(s.m), 0);
+    for (size_t i = 0; i < a.size(); ++i) rowsum[i / static_cast<size_t>(s.k)] += a[i];
     std::vector<uint8_t> want(static_cast<size_t>(s.m * s.n));
     {
       const IsaGuard g(simd::Isa::kScalar);
       GemmQU8(a.data(), a_qp.zero_point, b.data(), b_qp.zero_point, want.data(),
               c_qp.zero_point, rs, s.m, s.n, s.k, bias.data(), true);
     }
+    EXPECT_TRUE(BytesEqual(NaiveGemmQU8(a, a_qp.zero_point, b, b_qp.zero_point,
+                                        c_qp.zero_point, rs, s, bias),
+                           want))
+        << "scalar vs naive m=" << s.m << " n=" << s.n << " k=" << s.k;
+    const int32_t* const rowsums[] = {nullptr, rowsum.data()};
+    const uint8_t* const panels[] = {nullptr, ap.empty() ? nullptr : ap.data()};
     for (const simd::Isa isa : simd::SupportedIsas()) {
       const IsaGuard g(isa);
-      std::vector<uint8_t> got(want.size(), 0xAA);
-      GemmQU8(a.data(), a_qp.zero_point, b.data(), b_qp.zero_point, got.data(),
-              c_qp.zero_point, rs, s.m, s.n, s.k, bias.data(), true);
-      EXPECT_TRUE(BytesEqual(want, got))
-          << simd::IsaName(isa) << " m=" << s.m << " n=" << s.n << " k=" << s.k;
-      std::vector<uint8_t> got_packed(want.size(), 0x55);
-      GemmQU8(a.data(), a_qp.zero_point, b.data(), b_qp.zero_point, got_packed.data(),
-              c_qp.zero_point, rs, s.m, s.n, s.k, bias.data(), true, nullptr,
-              ap.empty() ? nullptr : ap.data());
-      EXPECT_TRUE(BytesEqual(want, got_packed))
-          << simd::IsaName(isa) << " packed m=" << s.m << " n=" << s.n << " k=" << s.k;
+      for (const int32_t* sums : rowsums) {
+        for (const uint8_t* packed : panels) {
+          std::vector<uint8_t> got(want.size(), 0xAA);
+          GemmQU8(a.data(), a_qp.zero_point, b.data(), b_qp.zero_point, got.data(),
+                  c_qp.zero_point, rs, s.m, s.n, s.k, bias.data(), true, sums, packed);
+          EXPECT_TRUE(BytesEqual(want, got))
+              << simd::IsaName(isa) << " rowsum=" << (sums != nullptr)
+              << " packed=" << (packed != nullptr) << " m=" << s.m << " n=" << s.n
+              << " k=" << s.k;
+        }
+      }
     }
   }
 }

@@ -112,6 +112,7 @@ TEST(IoTest, RejectsOutOfDomainLayers) {
       "pool p 0 avg 2 2 -1 1",                // negative pad
       "lrn l 0 0 0.0001 0.75 2",              // empty LRN window
       "concat c 2147483647 0",                // count far beyond the ids given
+      "add a 0 3 0 0 0",                      // add is binary
   };
   for (const char* line : bad) {
     EXPECT_THROW(GraphFromText(head + line + "\n"), ParseError) << line;

@@ -302,9 +302,13 @@ TEST(VerifyGraphErrors, EdgeOutOfRange) {
 
 TEST(VerifyGraphErrors, BadArity) {
   Node in = MakeNode(0, LayerKind::kInput, {}, Shape(1, 2, 4, 4));
-  Node add = MakeNode(1, LayerKind::kEltwiseAdd, {0}, Shape(1, 2, 4, 4));  // Needs >= 2.
+  Node add = MakeNode(1, LayerKind::kEltwiseAdd, {0}, Shape(1, 2, 4, 4));  // Needs 2.
   const Report r = VerifyGraph(Graph::UncheckedFromNodes({in, add}));
   EXPECT_TRUE(r.Has(DiagCode::kBadArity)) << r.ToString();
+  // The executor adds exactly two inputs, so a third addend is an error too.
+  Node add3 = MakeNode(1, LayerKind::kEltwiseAdd, {0, 0, 0}, Shape(1, 2, 4, 4));
+  const Report r3 = VerifyGraph(Graph::UncheckedFromNodes({in, add3}));
+  EXPECT_TRUE(r3.Has(DiagCode::kBadArity)) << r3.ToString();
 }
 
 TEST(VerifyGraphErrors, InvalidShape) {
